@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
 # Full verification sweep: the regular test suite in the default build,
+# the full suite again in a Debug + AddressSanitizer/UBSan build (leaks,
+# lifetime bugs and undefined behaviour anywhere in the simulator),
 # plus a Debug + ThreadSanitizer build running the concurrency-,
 # chaos-, device_fault-, trace-, policy-, fabric-, qos-, interp-,
 # residency- and spec-labeled tests (the
@@ -36,10 +38,12 @@ echo "== docs drift guard: flick.* stat families in DESIGN.md =="
 # §15 counter reference. Literal key prefixes are extracted from the
 # stat-emission sites; dynamic suffixes (_dev%u, _cr3#<k>, ...) reduce
 # to their literal stem, which the reference spells as e.g.
-# flick.host_to_nxp_calls_dev<k>.
+# flick.host_to_nxp_calls_dev<k>. Interned counters name their key
+# where they are declared ({_stats, "key"}).
 missing=0
-engine_keys=$(grep -hE '_stats\.(inc|set|add)\(|tenantStat\(|protoStat\(|^[[:space:]]*: "' \
-                  src/flick/runtime.cc src/spec/speculation.cc |
+engine_keys=$(grep -hE '_stats\.(inc|set|add)\(|tenantStat\(|protoStat\(|^[[:space:]]*: "|\{_stats, "' \
+                  src/flick/runtime.cc src/flick/runtime.hh \
+                  src/spec/speculation.cc |
               grep -oE '"[a-z][a-z_0-9.]*' | tr -d '"' | sort -u)
 residency_keys=$(grep -hE '_stats\.(inc|set)\(' src/flick/migrator.cc \
                      src/mem/residency.hh |
@@ -123,6 +127,14 @@ echo "== SLO bench, smoke mode (overload-survival gates) =="
 echo
 echo "== speculation bench, smoke mode (break-even storm gates) =="
 ./build/bench/bench_speculation --smoke
+
+echo
+echo "== debug + asan/ubsan build, full test suite =="
+cmake -B build-asan -S . \
+    -DCMAKE_BUILD_TYPE=Debug -DFLICK_SANITIZE=address,undefined \
+    -DCMAKE_CXX_FLAGS=-fno-sanitize-recover=undefined >/dev/null
+cmake --build build-asan -j "$jobs"
+ctest --test-dir build-asan --output-on-failure -j "$jobs"
 
 echo
 echo "== debug + tsan build, concurrency/chaos/trace/policy/fabric/interp tests =="

@@ -32,6 +32,13 @@ enum class DescriptorKind : std::uint32_t
     nxpToHostReturn = 4, //!< NxP function finished; value back to host.
 };
 
+/**
+ * CRC-64/ECMA-182 of @p len bytes at @p p: polynomial
+ * 0x42f0e1eba9ea3693, MSB first, init 0, no final xor. The descriptor
+ * checksum; table-driven (slice-by-8).
+ */
+std::uint64_t crc64(const std::uint8_t *p, std::uint64_t len);
+
 /** Printable descriptor-kind name, for diagnostics. */
 const char *descriptorKindName(DescriptorKind kind);
 

@@ -93,7 +93,7 @@ class NxpPlatform : public MmioDevice
     inboxArrived()
     {
         ++_pending;
-        _stats.inc("inbox_arrivals");
+        _inboxArrivals.inc();
     }
 
     unsigned pendingInbox() const { return _pending; }
@@ -113,6 +113,10 @@ class NxpPlatform : public MmioDevice
     Mmu *_nxpMmu = nullptr;
     unsigned _pending = 0;
     StatGroup _stats;
+    // Per-crossing counters, interned.
+    StatGroup::Counter _inboxArrivals{_stats, "inbox_arrivals"};
+    StatGroup::Counter _inboxAcks{_stats, "inbox_acks"};
+    StatGroup::Counter _statusReads{_stats, "status_reads"};
 };
 
 } // namespace flick

@@ -532,7 +532,7 @@ MigrationEngine::admitCall(Task &task, VAddr entry,
     }
     bool deadlined = x.deadline != 0;
     _exec.emplace(task.pid, std::move(x));
-    _stats.inc("calls_submitted");
+    _callsSubmitted.inc();
     traceGauge(TraceGauge::inFlightCalls, 0, _exec.size());
     // The watchdog only exists when something can actually go wrong
     // (endpoint fault injection or a configured deadline); otherwise the
@@ -983,8 +983,8 @@ MigrationEngine::handleHostDescriptor(TaskExec &x, MigrationDescriptor d)
             CallFrame done = top;
             x.frames.pop_back();
             ++task.migrations;
-            _stats.inc("host_nxp_host_roundtrips");
-            _stats.inc("host_nxp_host_ticks", _events.now() - done.t0);
+            _hnhRoundtrips.inc();
+            _hnhTicks.inc(_events.now() - done.t0);
             // The measured end-to-end latency is the cost model's input
             // (ProfileGuidedPlacement); a no-feedback policy skips it.
             recordPlacementOutcome(task, done);
@@ -1523,8 +1523,7 @@ MigrationEngine::retireSpec(bool aborted)
     protoStat("spec.squashed", device);
     if (aborted)
         protoStat("spec.aborted", device);
-    _stats.inc("spec.wasted_ticks", waste);
-    _stats.inc(strfmt("spec.wasted_ticks_dev%u", device), waste);
+    protoStat("spec.wasted_ticks", device, waste);
     _spec->squash();
     releaseHost();
 }
@@ -1618,8 +1617,7 @@ MigrationEngine::startHostToNxpCall(TaskExec &x, VAddr target,
         return;
     }
 
-    _stats.inc("host_to_nxp_calls");
-    _stats.inc(strfmt("host_to_nxp_calls_dev%u", device));
+    protoStat("host_to_nxp_calls", device);
     {
         CallFrame f{device, hostSide, _events.now()};
         f.canonical = canonical;
@@ -1678,7 +1676,7 @@ MigrationEngine::completeCall(TaskExec &x, std::uint64_t value)
     x.future->value = value;
     x.future->status = CallStatus::ok;
     x.future->done = true;
-    _stats.inc("calls_completed");
+    _callsCompleted.inc();
     tracePoint(TracePoint::callComplete, x.task->pid, x.id, 0, value);
     bool was_qos = x.qosAdmitted;
     unsigned tenant = x.tenant;
@@ -1815,10 +1813,8 @@ MigrationEngine::flushH2dBatch(unsigned device)
 
         protoStat("doorbell_writes", device);
         protoStat("batch.bursts", device);
-        if (n > 1) {
-            _stats.inc("batch.coalesced", n - 1);
-            _stats.inc(strfmt("batch.coalesced_dev%u", device), n - 1);
-        }
+        if (n > 1)
+            protoStat("batch.coalesced", device, n - 1);
         if (n > _batchMaxDescs) {
             _batchMaxDescs = static_cast<unsigned>(n);
             _stats.set("batch.descs_per_burst_max", _batchMaxDescs);
@@ -2040,8 +2036,8 @@ MigrationEngine::handleNxpDescriptor(unsigned device,
             x.frames.pop_back();
             ++task.migrations;
             if (f.callee == hostSide) {
-                _stats.inc("nxp_host_nxp_roundtrips");
-                _stats.inc("nxp_host_nxp_ticks", _events.now() - f.t0);
+                _nhnRoundtrips.inc();
+                _nhnTicks.inc(_events.now() - f.t0);
             } else {
                 _stats.inc("nxp_to_nxp_roundtrips");
             }
@@ -2240,8 +2236,7 @@ MigrationEngine::startNxpFaultMigration(TaskExec &x, VAddr target,
             dispatch = p.va;
         }
 
-        _stats.inc(dest == hostSide ? "nxp_to_host_calls"
-                                    : "nxp_to_nxp_calls");
+        (dest == hostSide ? _nxpToHostCalls : _nxpToNxpCalls).inc();
         journal(ProtocolStep::nxpFault, pid, target);
         tracePoint(TracePoint::nxpDescBuild, pid, id, device, target);
 

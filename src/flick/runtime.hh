@@ -43,6 +43,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "flick/call_future.hh"
@@ -687,8 +688,7 @@ class MigrationEngine
     void
     tenantStat(const char *key, unsigned tenant)
     {
-        _stats.inc(key);
-        _stats.inc(strfmt("%s_cr3#%u", key, tenant));
+        splitStat(_tenantSlots, "%s_cr3#%u", key, tenant, 1);
     }
 
     /** Record a front-door decision when the arrival trace is on. */
@@ -935,12 +935,43 @@ class MigrationEngine
             protoStat(key, device);
     }
 
-    /** Bump the aggregate and the per-device protocol counter. */
+    /** Add @p delta to the aggregate and the per-device (_dev<k>)
+     *  protocol counter. */
     void
-    protoStat(const char *key, unsigned device)
+    protoStat(const char *key, unsigned device, std::uint64_t delta = 1)
     {
-        _stats.inc(key);
-        _stats.inc(strfmt("%s_dev%u", key, device));
+        splitStat(_protoSlots, "%s_dev%u", key, device, delta);
+    }
+
+    /** Interned slots of one split counter: "key" and its per-index
+     *  splits, each null until first bumped. */
+    struct SplitSlots
+    {
+        std::uint64_t *total = nullptr;
+        std::vector<std::uint64_t *> split;
+    };
+    //! Split counters by key literal; a literal's address names it.
+    using SplitCache = std::unordered_map<const char *, SplitSlots>;
+
+    /**
+     * Add @p delta to counter @p key and to strfmt(@p fmt, key, index).
+     * Both keys are formatted and looked up once per (key, index); a
+     * repeat bump is a pointer-keyed lookup and two adds.
+     */
+    void
+    splitStat(SplitCache &cache, const char *fmt, const char *key,
+              unsigned index, std::uint64_t delta)
+    {
+        SplitSlots &s = cache[key];
+        if (!s.total)
+            s.total = &_stats.slot(key);
+        if (index >= s.split.size())
+            s.split.resize(index + 1, nullptr);
+        std::uint64_t *&split = s.split[index];
+        if (!split)
+            split = &_stats.slot(strfmt(fmt, key, index));
+        *s.total += delta;
+        *split += delta;
     }
 
     // --- Helpers -------------------------------------------------------
@@ -1072,6 +1103,17 @@ class MigrationEngine
     bool _journalOn = false;
     std::vector<ProtocolEvent> _journal;
     StatGroup _stats;
+    SplitCache _protoSlots;
+    SplitCache _tenantSlots;
+    // Per-call and per-crossing counters, interned.
+    StatGroup::Counter _callsSubmitted{_stats, "calls_submitted"};
+    StatGroup::Counter _callsCompleted{_stats, "calls_completed"};
+    StatGroup::Counter _hnhRoundtrips{_stats, "host_nxp_host_roundtrips"};
+    StatGroup::Counter _hnhTicks{_stats, "host_nxp_host_ticks"};
+    StatGroup::Counter _nhnRoundtrips{_stats, "nxp_host_nxp_roundtrips"};
+    StatGroup::Counter _nhnTicks{_stats, "nxp_host_nxp_ticks"};
+    StatGroup::Counter _nxpToHostCalls{_stats, "nxp_to_host_calls"};
+    StatGroup::Counter _nxpToNxpCalls{_stats, "nxp_to_nxp_calls"};
 
     // --- QoS state (all dormant while _qos.enabled is false) -----------
     QosConfig _qos;

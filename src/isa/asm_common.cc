@@ -134,8 +134,9 @@ parseIntLiteral(const std::string &text)
                     static_cast<std::uint64_t>(text[i] - '0');
         }
     }
-    std::int64_t sv = static_cast<std::int64_t>(value);
-    return neg ? -sv : sv;
+    // Negate in unsigned (wrapping) arithmetic: -INT64_MIN as a signed
+    // negation is undefined.
+    return static_cast<std::int64_t>(neg ? 0 - value : value);
 }
 
 bool

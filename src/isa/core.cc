@@ -32,11 +32,10 @@ Core::syncDecodeStats()
         return;
     // The step loop bumps raw fields (a StatGroup inc per step would
     // hash a key string per instruction); publish them here.
-    _stats.set("decode_cache_hits", _decodeCacheStats->hits);
-    _stats.set("decode_cache_fills", _decodeCacheStats->fills);
-    _stats.set("decode_cache_fallbacks", _decodeCacheStats->fallbacks);
-    _stats.set("decode_cache_invalidated_pages",
-               _decodeCacheStats->invalidatedPages);
+    _decodeHits.set(_decodeCacheStats->hits);
+    _decodeFills.set(_decodeCacheStats->fills);
+    _decodeFallbacks.set(_decodeCacheStats->fallbacks);
+    _decodeInvalidatedPages.set(_decodeCacheStats->invalidatedPages);
 }
 
 void

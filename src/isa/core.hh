@@ -253,7 +253,7 @@ class Core
         }
 
         _totalInstructions += result.instructions;
-        _stats.inc("instructions", result.instructions);
+        _instructions.inc(result.instructions);
         syncDecodeStats();
         result.elapsed = _slice;
         return result;
@@ -356,6 +356,13 @@ class Core
     NativeHook _nativeHook;
     TraceHook _traceHook;
     StatGroup _stats;
+    // Bumped once per run() slice, interned.
+    StatGroup::Counter _instructions{_stats, "instructions"};
+    StatGroup::Counter _decodeHits{_stats, "decode_cache_hits"};
+    StatGroup::Counter _decodeFills{_stats, "decode_cache_fills"};
+    StatGroup::Counter _decodeFallbacks{_stats, "decode_cache_fallbacks"};
+    StatGroup::Counter _decodeInvalidatedPages{
+        _stats, "decode_cache_invalidated_pages"};
 };
 
 } // namespace flick

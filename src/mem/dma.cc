@@ -38,7 +38,7 @@ void
 DmaEngine::enqueue(Transfer t)
 {
     if (_busy) {
-        _stats.inc("queued");
+        _queued.inc();
         _pending.push_back(std::move(t));
         traceQueueDepth();
         return;
@@ -51,8 +51,8 @@ void
 DmaEngine::start(Transfer t)
 {
     _busy = true;
-    _stats.inc("transfers");
-    _stats.inc("bytes", t.len);
+    _transfers.inc();
+    _bytes.inc(t.len);
     if (_chaos && _chaos->shouldStickDma()) {
         // The engine wedges: this transfer never completes, its bytes
         // never land, and everything queued behind it stalls with it.
@@ -97,7 +97,8 @@ DmaEngine::complete(Transfer t)
     // Move the bytes between backing stores. The engine addresses host
     // memory with host physical addresses and local memory with NxP-local
     // physical addresses, exactly like the FPGA bus master would.
-    std::vector<std::uint8_t> buf(t.len);
+    std::vector<std::uint8_t> &buf = _staging;
+    buf.resize(t.len);
     if (t.to_nxp) {
         if (!p.inHostDram(t.src) || !p.inNxpLocalDram(t.dst))
             panic("DMA host->NxP with bad addresses src=%#llx dst=%#llx",

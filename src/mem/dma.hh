@@ -124,7 +124,13 @@ class DmaEngine
     unsigned _device;
     bool _busy = false;
     std::deque<Transfer> _pending;
+    /** Payload bounce buffer of complete(), reused across transfers. */
+    std::vector<std::uint8_t> _staging;
     StatGroup _stats;
+    // Per-transfer counters, interned.
+    StatGroup::Counter _queued{_stats, "queued"};
+    StatGroup::Counter _transfers{_stats, "transfers"};
+    StatGroup::Counter _bytes{_stats, "bytes"};
 };
 
 } // namespace flick

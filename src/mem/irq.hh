@@ -63,6 +63,7 @@ class IrqController
     ChaosController *_chaos = nullptr;
     std::unordered_map<unsigned, Handler> _handlers;
     StatGroup _stats;
+    StatGroup::Counter _raised{_stats, "raised"}; //!< Interned.
 };
 
 } // namespace flick

@@ -21,6 +21,22 @@ devStatName(unsigned device)
     return device == 0 ? "nxp" : "nxp" + std::to_string(device + 1);
 }
 
+/**
+ * Route stats ids: the two device-independent host-DRAM routes, then
+ * perDeviceRoutes per NxP device, then one peer route per ordered
+ * device pair.
+ */
+enum : unsigned { hostToHostDram, nxpToHostDram, perDeviceBase };
+
+/** Per-device route families, in id order. */
+enum : unsigned {
+    hostToDevDram,
+    hostToDevMmio,
+    devToDevDram,
+    devToLocalMmio,
+    perDeviceRoutes
+};
+
 } // namespace
 
 const char *
@@ -65,6 +81,8 @@ MemSystem::MemSystem(const TimingConfig &timing,
             std::make_unique<SparseMemory>(platform.deviceDramBytes(k)));
     }
     _ctrl.resize(platform.nxpDeviceCount, nullptr);
+    _routeCounters.resize(2 * peerRoute(platform.nxpDeviceCount, 0),
+                          nullptr);
 
     // Every mutation of a backing store — routed or back-door — reaches
     // the registered decode sinks so stale predecoded text cannot
@@ -160,6 +178,51 @@ MemSystem::nxpDram(unsigned device)
     return *_nxpDrams[device];
 }
 
+unsigned
+MemSystem::deviceRoute(unsigned dev, unsigned which) const
+{
+    return perDeviceBase + perDeviceRoutes * dev + which;
+}
+
+unsigned
+MemSystem::peerRoute(unsigned from, unsigned peer) const
+{
+    unsigned n = _platform.nxpDeviceCount;
+    return perDeviceBase + perDeviceRoutes * n + n * from + peer;
+}
+
+std::string
+MemSystem::routeStatKey(unsigned id) const
+{
+    if (id == hostToHostDram)
+        return "host_to_host_dram";
+    if (id == nxpToHostDram)
+        return "nxp_to_host_dram";
+    unsigned n = _platform.nxpDeviceCount;
+    unsigned i = id - perDeviceBase;
+    if (i >= perDeviceRoutes * n) {
+        i -= perDeviceRoutes * n;
+        return devStatName(i / n) + "_peer_to_" + devStatName(i % n) +
+               "_dram";
+    }
+    std::string dev = devStatName(i / perDeviceRoutes);
+    switch (i % perDeviceRoutes) {
+      case hostToDevDram: return "host_to_" + dev + "_dram";
+      case hostToDevMmio: return "host_to_" + dev + "_mmio";
+      case devToDevDram: return dev + "_to_" + dev + "_dram";
+      default: return dev + "_to_local_mmio";
+    }
+}
+
+void
+MemSystem::countAccess(unsigned id, bool write)
+{
+    std::uint64_t *&c = _routeCounters[2 * id + write];
+    if (!c)
+        c = &_stats.slot(routeStatKey(id) + (write ? "_writes" : "_reads"));
+    ++*c;
+}
+
 MemSystem::Route
 MemSystem::resolve(Requester r, Addr pa, std::uint64_t len) const
 {
@@ -173,19 +236,19 @@ MemSystem::resolve(Requester r, Addr pa, std::uint64_t len) const
             return {Route::Kind::hostDram, 0, pa,
                     r == Requester::hostCore ? _timing.hostToHostDram
                                              : Tick(0),
-                    "host_to_host_dram"};
+                    hostToHostDram};
         }
         if (p.inBarDram(pa, dev)) {
             return {Route::Kind::nxpDram, dev, pa - p.barBase(dev),
                     r == Requester::hostCore ? _timing.hostToNxpDram
                                              : Tick(0),
-                    "host_to_" + devStatName(dev) + "_dram"};
+                    deviceRoute(dev, hostToDevDram)};
         }
         if (p.inBarCtrl(pa, dev)) {
             return {Route::Kind::ctrlDev, dev, pa - p.ctrlBase(dev),
                     r == Requester::hostCore ? _timing.hostToNxpMmio
                                              : Tick(0),
-                    "host_to_" + devStatName(dev) + "_mmio"};
+                    deviceRoute(dev, hostToDevMmio)};
         }
         panic("%s access to unmapped host PA %#llx (len %llu)",
               requesterName(r), (unsigned long long)pa,
@@ -202,16 +265,16 @@ MemSystem::resolve(Requester r, Addr pa, std::uint64_t len) const
         pa < p.nxpDramLocalBase + p.deviceDramBytes(from)) {
         return {Route::Kind::nxpDram, from, pa - p.nxpDramLocalBase,
                 _timing.nxpToNxpDram,
-                devStatName(from) + "_to_" + devStatName(from) + "_dram"};
+                deviceRoute(from, devToDevDram)};
     }
     if (p.inNxpCtrl(pa)) {
         return {Route::Kind::ctrlDev, from, pa - p.nxpCtrlLocalBase,
                 _timing.nxpToLocalMmio,
-                devStatName(from) + "_to_local_mmio"};
+                deviceRoute(from, devToLocalMmio)};
     }
     if (p.inHostDram(pa)) {
         return {Route::Kind::hostDram, 0, pa, _timing.nxpToHostDram,
-                "nxp_to_host_dram"};
+                nxpToHostDram};
     }
     unsigned peer;
     if (p.inBarDram(pa, peer)) {
@@ -220,8 +283,7 @@ MemSystem::resolve(Requester r, Addr pa, std::uint64_t len) const
             // through the PCIe switch (two link crossings).
             return {Route::Kind::nxpDram, peer, pa - p.barBase(peer),
                     _timing.nxpToHostDram + _timing.hostToNxpDram,
-                    devStatName(from) + "_peer_to_" + devStatName(peer) +
-                        "_dram"};
+                    peerRoute(from, peer)};
         }
         panic("%s issued un-remapped BAR address %#llx: the NxP TLB must "
               "remap BAR-range physical addresses to local addresses "
@@ -262,7 +324,7 @@ MemSystem::read(Requester r, Addr pa, void *buf, std::uint64_t len)
 {
     Route route = resolve(r, pa, len);
     if (r != Requester::debug)
-        _stats.inc(route.stat + "_reads");
+        countAccess(route.stat, false);
     if (_residency)
         touchResidency(r, route);
     switch (route.kind) {
@@ -300,7 +362,7 @@ MemSystem::write(Requester r, Addr pa, const void *buf, std::uint64_t len)
 {
     Route route = resolve(r, pa, len);
     if (r != Requester::debug)
-        _stats.inc(route.stat + "_writes");
+        countAccess(route.stat, true);
     if (_residency)
         touchResidency(r, route);
     switch (route.kind) {

@@ -256,10 +256,22 @@ class MemSystem
         unsigned device; //!< NxP device index for nxpDram/ctrlDev kinds.
         Addr offset;     //!< Offset within the target store/window.
         Tick latency;    //!< Charge for this access.
-        std::string stat; //!< Stats key.
+        unsigned stat;   //!< Route stats id (see routeStatKey()).
     };
 
     Route resolve(Requester r, Addr pa, std::uint64_t len) const;
+
+    /** Stats id of NxP device @p dev's route family @p which. */
+    unsigned deviceRoute(unsigned dev, unsigned which) const;
+
+    /** Stats id of device @p from's peer-to-peer route into @p peer. */
+    unsigned peerRoute(unsigned from, unsigned peer) const;
+
+    /** Stats key stem of route id @p id, e.g. "host_to_nxp2_dram". */
+    std::string routeStatKey(unsigned id) const;
+
+    /** Bump route @p id's read or write counter. */
+    void countAccess(unsigned id, bool write);
 
     /** Bump the residency counter for a resolved core access. */
     void touchResidency(Requester r, const Route &route);
@@ -273,6 +285,9 @@ class MemSystem
     ResidencyTracker *_residency = nullptr;
     SpecMemHook *_specHook = nullptr;
     StatGroup _stats;
+    /** Interned route counters, [2 * id + write]; null until first use,
+     *  so a route's keys appear in the dump only once it is taken. */
+    std::vector<std::uint64_t *> _routeCounters;
 };
 
 } // namespace flick

@@ -21,18 +21,30 @@ SparseMemory::boundsCheck(Addr offset, std::uint64_t len) const
 const SparseMemory::Chunk *
 SparseMemory::chunkFor(Addr offset) const
 {
-    auto it = _chunks.find(offset / chunkBytes);
-    return it == _chunks.end() ? nullptr : it->second.get();
+    std::uint64_t index = offset / chunkBytes;
+    MemoSlot &m = _memo[index % memoSlots];
+    if (m.index == index)
+        return m.chunk;
+    auto it = _chunks.find(index);
+    if (it == _chunks.end())
+        return nullptr;
+    m = {index, it->second.get()};
+    return m.chunk;
 }
 
 SparseMemory::Chunk &
 SparseMemory::chunkForWrite(Addr offset)
 {
-    auto &slot = _chunks[offset / chunkBytes];
+    std::uint64_t index = offset / chunkBytes;
+    MemoSlot &m = _memo[index % memoSlots];
+    if (m.index == index)
+        return *m.chunk;
+    auto &slot = _chunks[index];
     if (!slot) {
         slot = std::make_unique<Chunk>();
         slot->fill(0);
     }
+    m = {index, slot.get()};
     return *slot;
 }
 

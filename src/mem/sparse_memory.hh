@@ -95,8 +95,24 @@ class SparseMemory
     /** Chunk for writing; allocates (zeroed) on demand. */
     Chunk &chunkForWrite(Addr offset);
 
+    /** Memo slots, direct-mapped by chunk index (see _memo). */
+    static constexpr std::uint64_t memoSlots = 64;
+
+    struct MemoSlot
+    {
+        std::uint64_t index = ~0ull; //!< ~0 is never a chunk index: cold.
+        Chunk *chunk = nullptr;
+    };
+
     std::uint64_t _size;
     std::unordered_map<std::uint64_t, std::unique_ptr<Chunk>> _chunks;
+    /**
+     * Recently used chunks, like Core::slotFor: a guest's working set
+     * of a few pages hits here instead of hashing into _chunks. Only
+     * allocated chunks are memoized, and chunks are never freed, so an
+     * entry cannot dangle.
+     */
+    mutable std::array<MemoSlot, memoSlots> _memo{};
     WriteListener _listener;
 };
 

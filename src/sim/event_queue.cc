@@ -1,91 +1,68 @@
 #include "sim/event_queue.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace flick
 {
 
 EventQueue::EventId
-EventQueue::schedule(Tick when, std::string name, Callback cb)
+EventQueue::schedule(Tick when, const char *name, Callback cb)
 {
     if (when < _now) {
-        panic("event '%s' scheduled in the past (%llu < %llu)",
-              name.c_str(), (unsigned long long)when,
-              (unsigned long long)_now);
+        panic("event '%s' scheduled in the past (%llu < %llu)", name,
+              (unsigned long long)when, (unsigned long long)_now);
     }
-    auto *e = new Entry{when, _seq++, _nextId++, std::move(name),
-                        std::move(cb), false};
-    _queue.push(e);
+    EventId id = _nextId++;
+    _heap.push_back({when, id, name, std::move(cb), false});
+    std::push_heap(_heap.begin(), _heap.end(), later);
     ++_live;
-    return e->id;
+    return id;
 }
 
 bool
 EventQueue::deschedule(EventId id)
 {
     // The heap cannot be searched efficiently; mark-and-skip instead.
-    // We rebuild a temporary view by scanning the underlying container via
-    // a copy of the queue. To keep this O(n) rather than O(n log n), we
-    // walk the priority_queue's storage through a protected-member trick.
-    struct Opener : std::priority_queue<Entry *, std::vector<Entry *>, Cmp>
-    {
-        static std::vector<Entry *> &
-        container(std::priority_queue<Entry *, std::vector<Entry *>, Cmp> &q)
-        {
-            return static_cast<Opener &>(q).c;
-        }
-    };
-    for (Entry *e : Opener::container(_queue)) {
-        if (e->id == id && !e->cancelled) {
-            e->cancelled = true;
+    // The mark is lazy: the entry stays until it surfaces at the top.
+    for (Entry &e : _heap) {
+        if (e.id == id && !e.cancelled) {
+            e.cancelled = true;
             --_live;
+            purgeTop();
             return true;
         }
     }
     return false;
 }
 
-EventQueue::Entry *
-EventQueue::popNextLive()
+void
+EventQueue::popTop()
 {
-    while (!_queue.empty()) {
-        Entry *e = _queue.top();
-        _queue.pop();
-        if (e->cancelled) {
-            delete e;
-            continue;
-        }
-        return e;
-    }
-    return nullptr;
+    std::pop_heap(_heap.begin(), _heap.end(), later);
+    _heap.pop_back();
 }
 
-Tick
-EventQueue::nextEventTime() const
+void
+EventQueue::purgeTop()
 {
-    // Cancelled entries may sit at the top; peek through them without
-    // mutating (rare path, small queues in practice).
-    auto copy = _queue;
-    while (!copy.empty()) {
-        Entry *e = copy.top();
-        if (!e->cancelled)
-            return e->when;
-        copy.pop();
-    }
-    return maxTick;
+    while (!_heap.empty() && _heap.front().cancelled)
+        popTop();
 }
 
 bool
 EventQueue::step()
 {
-    Entry *e = popNextLive();
-    if (!e)
+    if (_heap.empty())
         return false;
-    _now = e->when;
+    Entry &top = _heap.front();
+    _now = top.when;
+    Callback cb = std::move(top.cb);
+    popTop();
+    purgeTop();
     --_live;
     ++_eventsRun;
-    Callback cb = std::move(e->cb);
-    delete e;
     cb();
     return true;
 }

@@ -13,8 +13,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <string>
 #include <vector>
 
 #include "sim/ticks.hh"
@@ -28,6 +26,12 @@ namespace flick
  * The queue is single-threaded and cooperative: callbacks run to completion
  * and may schedule further events (including at the current tick, which run
  * after all previously scheduled same-tick events).
+ *
+ * The queue owns its entries: they live by value in a binary heap, so
+ * scheduling allocates nothing beyond what the callback itself needs,
+ * and destroying the queue destroys every still-pending callback (and
+ * whatever it captured). Cancelled entries are purged whenever they
+ * reach the top, so the top is always live and nextEventTime() is O(1).
  */
 class EventQueue
 {
@@ -48,17 +52,18 @@ class EventQueue
      * Schedule @p cb to run at absolute time @p when.
      *
      * @param when Absolute tick; must not be in the past.
-     * @param name Debug label, retained for diagnostics.
+     * @param name Debug label, retained for diagnostics; a string with
+     *        static storage duration (a literal).
      * @param cb Callback to invoke.
      * @return Handle usable with deschedule().
      */
-    EventId schedule(Tick when, std::string name, Callback cb);
+    EventId schedule(Tick when, const char *name, Callback cb);
 
     /** Schedule @p cb to run @p delay ticks from now. */
     EventId
-    scheduleIn(Tick delay, std::string name, Callback cb)
+    scheduleIn(Tick delay, const char *name, Callback cb)
     {
-        return schedule(_now + delay, std::move(name), std::move(cb));
+        return schedule(_now + delay, name, std::move(cb));
     }
 
     /**
@@ -76,7 +81,11 @@ class EventQueue
     std::size_t pending() const { return _live; }
 
     /** Time of the earliest pending event, or maxTick if none. */
-    Tick nextEventTime() const;
+    Tick
+    nextEventTime() const
+    {
+        return _heap.empty() ? maxTick : _heap.front().when;
+    }
 
     /**
      * Run the earliest pending event.
@@ -103,32 +112,33 @@ class EventQueue
     struct Entry
     {
         Tick when;
-        std::uint64_t seq; //!< FIFO tie-break for same-tick events.
-        EventId id;
-        std::string name;
+        EventId id; //!< Also the FIFO tie-break for same-tick events.
+        const char *name;
         Callback cb;
-        bool cancelled = false;
+        bool cancelled;
     };
 
-    struct Cmp
+    /** Heap order: std::*_heap keep the greatest first, so "greater"
+     *  means "later". */
+    static bool
+    later(const Entry &a, const Entry &b)
     {
-        bool
-        operator()(const Entry *a, const Entry *b) const
-        {
-            if (a->when != b->when)
-                return a->when > b->when;
-            return a->seq > b->seq;
-        }
-    };
+        if (a.when != b.when)
+            return a.when > b.when;
+        return a.id > b.id;
+    }
 
-    Entry *popNextLive();
+    /** Remove the top entry from the heap. */
+    void popTop();
+
+    /** Pop cancelled entries off the top until it is live or empty. */
+    void purgeTop();
 
     Tick _now = 0;
-    std::uint64_t _seq = 0;
     EventId _nextId = 1;
     std::size_t _live = 0;
     std::uint64_t _eventsRun = 0;
-    std::priority_queue<Entry *, std::vector<Entry *>, Cmp> _queue;
+    std::vector<Entry> _heap;
 };
 
 } // namespace flick

@@ -27,6 +27,50 @@ class StatGroup
   public:
     explicit StatGroup(std::string name) : _name(std::move(name)) {}
 
+    /**
+     * Interned handle to one counter, for hot paths that would
+     * otherwise hash a key string per increment. The key is looked up
+     * once, at the first inc() or set(); every later one is a pointer
+     * bump. Until then the key is absent from dump(), exactly as with
+     * StatGroup::inc(key). The handle stays valid across reset() and
+     * any number of other inserts (the map's nodes never move) for the
+     * group's lifetime; it is not copyable, so a component holding one
+     * cannot be copied away from its group.
+     */
+    class Counter
+    {
+      public:
+        Counter(StatGroup &group, std::string key)
+            : _group(group), _key(std::move(key))
+        {}
+        Counter(const Counter &) = delete;
+        Counter &operator=(const Counter &) = delete;
+
+        void inc(std::uint64_t delta = 1) { slot() += delta; }
+        void set(std::uint64_t v) { slot() = v; }
+
+      private:
+        std::uint64_t &
+        slot()
+        {
+            if (!_slot)
+                _slot = &_group.slot(_key);
+            return *_slot;
+        }
+
+        StatGroup &_group;
+        std::string _key;
+        std::uint64_t *_slot = nullptr;
+    };
+
+    /**
+     * Storage of counter @p key, created at zero (so the key appears in
+     * dump() from now on). The reference is stable for the group's
+     * lifetime; callers that intern many keys cache it and bump it
+     * directly.
+     */
+    std::uint64_t &slot(const std::string &key) { return _counters[key]; }
+
     /** Group name used as a prefix when dumping. */
     const std::string &name() const { return _name; }
 

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -150,6 +152,69 @@ TEST(EventQueue, StepReturnsFalseWhenEmpty)
     EXPECT_EQ(q.eventsRun(), 1u);
 }
 
+TEST(EventQueue, DestructorReleasesPendingCallbacks)
+{
+    auto token = std::make_shared<int>(0);
+    {
+        EventQueue q;
+        q.schedule(10, "a", [token] {});
+        q.schedule(20, "b", [token] {});
+        auto id = q.schedule(30, "c", [token] {});
+        q.deschedule(id); // cancelled but not yet purged
+        EXPECT_EQ(token.use_count(), 4);
+        q.runUntil(10);
+        EXPECT_EQ(token.use_count(), 3);
+    }
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventQueue, RunUntilSkipsCancelledTopEntries)
+{
+    EventQueue q;
+    std::vector<int> order;
+    std::vector<EventQueue::EventId> ids;
+    for (int i = 0; i < 4; ++i)
+        ids.push_back(q.schedule(10 + i, "e", [&order, i] {
+            order.push_back(i);
+        }));
+    q.schedule(50, "late", [&order] { order.push_back(50); });
+    // Cancel the three earliest: the top of the heap is cancelled
+    // three deep.
+    for (int i = 0; i < 3; ++i)
+        EXPECT_TRUE(q.deschedule(ids[i]));
+    EXPECT_EQ(q.pending(), 2u);
+    EXPECT_EQ(q.nextEventTime(), 13u);
+    EXPECT_EQ(q.runUntil(12), 0u);
+    EXPECT_EQ(q.now(), 0u);
+    EXPECT_EQ(q.runUntil(40), 1u);
+    EXPECT_EQ(order, std::vector<int>({3}));
+    EXPECT_EQ(q.now(), 13u);
+    EXPECT_EQ(q.runUntil(100, true), 1u);
+    EXPECT_EQ(order, std::vector<int>({3, 50}));
+    EXPECT_EQ(q.now(), 100u);
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, DescheduleHeadThenNextEventTime)
+{
+    EventQueue q;
+    auto head = q.schedule(5, "head", [] {});
+    auto mid = q.schedule(7, "mid", [] {});
+    q.schedule(7, "tie", [] {});
+    q.schedule(9, "tail", [] {});
+    EXPECT_EQ(q.nextEventTime(), 5u);
+    EXPECT_TRUE(q.deschedule(head));
+    EXPECT_EQ(q.nextEventTime(), 7u);
+    EXPECT_TRUE(q.deschedule(mid));
+    EXPECT_EQ(q.nextEventTime(), 7u); // the same-tick twin is still live
+    EXPECT_TRUE(q.step());
+    EXPECT_EQ(q.nextEventTime(), 9u);
+    EXPECT_TRUE(q.step());
+    EXPECT_EQ(q.nextEventTime(), maxTick);
+    EXPECT_FALSE(q.deschedule(head));
+    EXPECT_TRUE(q.empty());
+}
+
 TEST(Rng, Deterministic)
 {
     Rng a(42), b(42);
@@ -210,6 +275,64 @@ TEST(Stats, DumpFormat)
     std::ostringstream os;
     g.dump(os);
     EXPECT_EQ(os.str(), "mem.reads 3\n");
+}
+
+TEST(Stats, CounterKeyAbsentUntilFirstIncrement)
+{
+    StatGroup g("grp");
+    StatGroup::Counter c(g, "hot");
+    std::ostringstream before;
+    g.dump(before);
+    EXPECT_EQ(before.str(), "");
+    EXPECT_EQ(g.counters().count("hot"), 0u);
+    c.inc();
+    c.inc(2);
+    EXPECT_EQ(g.get("hot"), 3u);
+    std::ostringstream after;
+    g.dump(after);
+    EXPECT_EQ(after.str(), "grp.hot 3\n");
+}
+
+TEST(Stats, CounterSurvivesInsertsAndReset)
+{
+    StatGroup g("grp");
+    StatGroup::Counter c(g, "hot");
+    c.inc(5);
+    // Thousands of other keys force many rehashes of the map.
+    for (int i = 0; i < 5000; ++i)
+        g.inc("k" + std::to_string(i));
+    c.inc();
+    EXPECT_EQ(g.get("hot"), 6u);
+    g.reset();
+    EXPECT_EQ(g.get("hot"), 0u);
+    c.inc(7);
+    EXPECT_EQ(g.get("hot"), 7u);
+    // Handle and string key address the same counter.
+    g.inc("hot");
+    c.set(40);
+    EXPECT_EQ(g.get("hot"), 40u);
+    std::uint64_t &slot = g.slot("hot");
+    slot += 2;
+    EXPECT_EQ(g.get("hot"), 42u);
+}
+
+TEST(Stats, DumpOrderIndependentOfInterning)
+{
+    // The same increments through handles and through string keys, in
+    // different insertion orders, dump identically (sorted by key).
+    StatGroup a("g"), b("g");
+    StatGroup::Counter az(a, "zeta"), am(a, "mu");
+    az.inc(3);
+    a.inc("alpha", 1);
+    am.inc(2);
+    b.inc("mu", 2);
+    b.inc("alpha");
+    b.inc("zeta", 3);
+    std::ostringstream da, db;
+    a.dump(da);
+    b.dump(db);
+    EXPECT_EQ(da.str(), "g.alpha 1\ng.mu 2\ng.zeta 3\n");
+    EXPECT_EQ(da.str(), db.str());
 }
 
 TEST(Logging, Strfmt)
