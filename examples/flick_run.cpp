@@ -14,7 +14,7 @@
  *     --call=SYM        function to run (default: main)
  *     --args=A,B,...    up to six integer arguments (0x hex ok)
  *     --trace           stream a disassembled instruction trace
- *     --journal         print the migration protocol journal
+ *     --journal         print the call's protocol milestones (the tracer)
  *     --stats           dump all component statistics at exit
  *     --extra-us=N      inflate each migration round trip by N us
  */
@@ -109,7 +109,7 @@ main(int argc, char **argv)
     if (trace)
         sys.enableInstructionTrace(&std::cerr);
     if (print_journal)
-        sys.debug().engine().enableJournal();
+        sys.debug().trace().enable();
 
     Tick t0 = sys.now();
     std::uint64_t result = sys.submit(proc, CallSpec(call_symbol).withArgs(args)).wait();
@@ -117,10 +117,11 @@ main(int argc, char **argv)
 
     if (print_journal) {
         std::printf("-- protocol journal --\n");
-        for (const ProtocolEvent &e : sys.debug().engine().journal())
-            std::printf("%12.2fus  %-14s  pid=%d  addr=%#llx\n",
-                        ticksToUs(e.when - t0), protocolStepName(e.step),
-                        e.pid, (unsigned long long)e.addr);
+        for (const TraceEvent &e : sys.debug().trace().events())
+            std::printf("%12.2fus  %-14s  dev=%u  pid=%d  arg=%#llx\n",
+                        ticksToUs(e.tick - t0), tracePointName(e.point),
+                        unsigned(e.device), e.pid,
+                        (unsigned long long)e.arg);
     }
     if (stats) {
         std::printf("-- statistics --\n");

@@ -9,7 +9,8 @@
 # fault-recovery and failover paths, the N-device batching/admission
 # machinery and the trace instrumentation riding along them are where
 # lifetime bugs would hide), and a docs-drift guard keeping DESIGN.md's
-# configuration table in sync with SystemConfig and CallSpec.
+# configuration table in sync with SystemConfig and CallSpec in both
+# directions.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -30,6 +31,33 @@ if [ "$missing" -ne 0 ]; then
     exit 1
 fi
 echo "all SystemConfig::with* options documented"
+
+echo
+echo "== docs drift guard: DESIGN.md config table lists only real options =="
+# The reverse direction: every with* option a row of the "Configuration
+# reference" table names must still be declared in system.hh (a method
+# name at the start of its line, as the fluent setters are written).
+declared=$(grep -oE '^[[:space:]]+with[A-Z][A-Za-z0-9]*\(' \
+               src/flick/system.hh | grep -oE 'with[A-Z][A-Za-z0-9]*' |
+           sort -u)
+listed=$(sed -n '/^### Configuration reference/,/^#/p' DESIGN.md |
+         grep -E '^\|' | grep -oE 'with[A-Z][A-Za-z0-9]*' | sort -u)
+if [ -z "$listed" ]; then
+    echo "DESIGN.md has no Configuration reference table rows" >&2
+    exit 1
+fi
+stale=0
+for opt in $listed; do
+    if ! grep -qx "$opt" <<<"$declared"; then
+        echo "DESIGN.md lists $opt, which system.hh no longer declares" >&2
+        stale=1
+    fi
+done
+if [ "$stale" -ne 0 ]; then
+    echo "docs drift: drop the rows above from DESIGN.md" >&2
+    exit 1
+fi
+echo "every option in the DESIGN.md config table exists"
 
 echo
 echo "== docs drift guard: flick.* stat families in DESIGN.md =="

@@ -45,22 +45,17 @@ enum class CallStatus
     deadlineExceeded, //!< SystemConfig::callDeadline expired first.
     deviceLost,       //!< An NxP it depended on was quarantined.
     cancelled,        //!< CallFuture::cancel() tore it down.
-    shedLoad,         //!< Admission control refused it at submit time.
+    shedLoad,         //!< QoS admission refused it at submit time.
 };
 
 /** Printable status name. */
 const char *callStatusName(CallStatus status);
 
-/**
- * Why a call with status shedLoad was refused (DESIGN.md §14). The
- * legacy per-device admission cap reports queueFull (the fabric's
- * rings are the queue that is full); the QoS front door distinguishes
- * all three.
- */
+/** Why a call with status shedLoad was refused (DESIGN.md §14). */
 enum class ShedReason
 {
     none,               //!< Not shed (status != shedLoad).
-    queueFull,          //!< Fabric at cap, or tenant queue full.
+    queueFull,          //!< Tenant submission queue full.
     deadlineInfeasible, //!< Estimated completion misses the deadline.
     tenantOverBudget,   //!< Tenant at its in-flight budget, no queueing.
 };

@@ -1,5 +1,7 @@
 #include "flick/migrator.hh"
 
+#include <cstring>
+
 #include "loader/loader.hh"
 #include "sim/logging.hh"
 #include "vm/mmu.hh"
@@ -214,7 +216,7 @@ void
 PageMigrator::commit()
 {
     InFlight &f = *_inFlight;
-    if (f.dirty) {
+    if (f.dirty || !copyIntact(f)) {
         if (f.retries >= _cfg.maxCopyRetries) {
             abortMigration();
             return;
@@ -257,6 +259,18 @@ PageMigrator::commit()
     else
         _stats.inc("migrations_to_dev" + std::to_string(fin.plan.dest));
     pump();
+}
+
+bool
+PageMigrator::copyIntact(const InFlight &f)
+{
+    // An injected DMA corruption lands in the new frame; committing it
+    // would silently change the page's data. The comparison charges no
+    // simulated time; a torn copy is redone like a dirtied one.
+    std::uint8_t src[4096], dst[4096];
+    _mem.read(Requester::debug, f.oldPa, src, sizeof src);
+    _mem.read(Requester::debug, f.newPa, dst, sizeof dst);
+    return std::memcmp(src, dst, sizeof src) == 0;
 }
 
 void

@@ -144,6 +144,8 @@ class PageMigrator : public DecodeSink
     void pump();
     void issueCopy();
     void commit();
+    /** The copied frame matches its source (DMA faults flip bits). */
+    bool copyIntact(const InFlight &f);
     void abortMigration();
 
     EventQueue &_events;

@@ -9,31 +9,6 @@
 namespace flick
 {
 
-const char *
-protocolStepName(ProtocolStep step)
-{
-    switch (step) {
-      case ProtocolStep::hostNxFault: return "hostNxFault";
-      case ProtocolStep::nxpStackAlloc: return "nxpStackAlloc";
-      case ProtocolStep::hostSendCall: return "hostSendCall";
-      case ProtocolStep::dmaToNxp: return "dmaToNxp";
-      case ProtocolStep::nxpPickup: return "nxpPickup";
-      case ProtocolStep::nxpCallStart: return "nxpCallStart";
-      case ProtocolStep::nxpFault: return "nxpFault";
-      case ProtocolStep::nxpSendCall: return "nxpSendCall";
-      case ProtocolStep::hostWake: return "hostWake";
-      case ProtocolStep::hostCallStart: return "hostCallStart";
-      case ProtocolStep::hostSendReturn: return "hostSendReturn";
-      case ProtocolStep::nxpResume: return "nxpResume";
-      case ProtocolStep::nxpSendReturn: return "nxpSendReturn";
-      case ProtocolStep::hostReturn: return "hostReturn";
-      case ProtocolStep::hostForward: return "hostForward";
-      case ProtocolStep::hostFallback: return "hostFallback";
-      case ProtocolStep::hostSteered: return "hostSteered";
-    }
-    return "?";
-}
-
 // --- Placement policy plumbing (DESIGN.md §11) --------------------------
 
 /**
@@ -65,7 +40,6 @@ struct EnginePlacementView final : PlacementView
                   (s.busy ? 1 : 0);
         l.busy = s.busy;
         l.quarantined = s.health == DeviceHealth::quarantined;
-        l.saturated = e._admissionCap && l.depth >= e._admissionCap;
         return l;
     }
 
@@ -355,11 +329,8 @@ MigrationEngine::ensureNxpStack(Task &task, unsigned device, Cont then)
     VAddr stack_base = side(device).stackHeap->allocate(_nxpStackBytes, 16);
     task.nxpStackTop[device] = stack_base + _nxpStackBytes;
     task.nxpStackBytes = _nxpStackBytes;
-    int pid = task.pid;
-    VAddr top = task.nxpStackTop[device];
-    after(_timing.nxpStackAllocate, [this, pid, top, then] {
+    after(_timing.nxpStackAllocate, [this, then] {
         _stats.inc("nxp_stacks_allocated");
-        journal(ProtocolStep::nxpStackAlloc, pid, top);
         then();
     });
 }
@@ -399,21 +370,6 @@ MigrationEngine::submit(Task &task, VAddr entry,
     if (_qos.enabled) {
         tenant = registerTenant(task.cr3);
         tenantStat("qos.submitted", tenant);
-    }
-
-    if (_admissionCap && fabricSaturated()) {
-        // Admission control: every live device is at its in-flight cap,
-        // so the call is refused at the front door. The future completes
-        // right here — nothing is queued, no event is scheduled, and the
-        // caller can retry or degrade immediately.
-        _stats.inc("admission.shed");
-        if (_qos.enabled) {
-            tenantStat("qos.shed", tenant);
-            tenantStat("qos.shed.queue_full", tenant);
-            recordArrival(tenant, task.pid, QosArrival::Outcome::shed,
-                          ShedReason::queueFull, 0);
-        }
-        return shedFuture(task, ShedReason::queueFull);
     }
 
     Tick abs_deadline = 0;
@@ -671,10 +627,6 @@ MigrationEngine::pumpQosQueues()
             break;
         if (_tenants.lastPickAged())
             tenantStat("qos.aged_picks", static_cast<unsigned>(pick));
-        // Respect the legacy fabric cap too: pulling a queued call into
-        // a saturated fabric would only shed it deeper in.
-        if (_admissionCap && fabricSaturated())
-            break;
         auto tenant = static_cast<unsigned>(pick);
         QosPending p = std::move(_qosQueues[tenant].front());
         _qosQueues[tenant].pop_front();
@@ -739,27 +691,6 @@ MigrationEngine::cancelQueuedCall(int pid, unsigned tenant)
     }
     panic("queued call of pid %d missing from tenant %u's queue", pid,
           tenant);
-}
-
-bool
-MigrationEngine::fabricSaturated() const
-{
-    // Shed only when at least one device is alive and all alive devices
-    // are at the cap; a host-only system never sheds (nothing to cap)
-    // and an all-quarantined fabric fails calls through the existing
-    // deviceLost/failover machinery, not admission.
-    bool any = false;
-    for (const NxpSide &s : _nxp) {
-        if (s.health == DeviceHealth::quarantined)
-            continue;
-        any = true;
-        unsigned depth = s.h2d.inUse() +
-                         static_cast<unsigned>(s.h2dDeferred.size()) +
-                         (s.busy ? 1 : 0);
-        if (depth < _admissionCap)
-            return false;
-    }
-    return any;
 }
 
 std::uint64_t
@@ -902,7 +833,6 @@ MigrationEngine::dispatchFallback(TaskExec &x)
             std::vector<std::uint64_t> args(top.args.begin(),
                                             top.args.begin() + top.nargs);
             _hostCore.setupCall(twin, args);
-            journal(ProtocolStep::hostFallback, pid, twin);
             tracePoint(TracePoint::hostCallStart, pid, id, 0, twin);
             runHostSegment(*v);
         });
@@ -920,13 +850,11 @@ MigrationEngine::handleHostDescriptor(TaskExec &x, MigrationDescriptor d)
 
     switch (d.kind) {
       case DescriptorKind::nxpToHostCall: {
-        journal(ProtocolStep::hostWake, pid, d.target);
         if (top.callee == hostSide) {
             // (d) An NxP called a host function: run it here.
             std::vector<std::uint64_t> args(d.args.begin(),
                                             d.args.begin() + d.nargs);
             _hostCore.setupCall(d.target, args);
-            journal(ProtocolStep::hostCallStart, pid, d.target);
             tracePoint(TracePoint::hostCallStart, pid, x.id, 0, d.target);
             runHostSegment(x);
             return;
@@ -949,12 +877,10 @@ MigrationEngine::handleHostDescriptor(TaskExec &x, MigrationDescriptor d)
             protoStat("failovers", to);
             top.callee = hostSide;
             _hostCore.setupCall(twin, d.argVector());
-            journal(ProtocolStep::hostFallback, pid, twin);
             tracePoint(TracePoint::hostCallStart, pid, x.id, 0, twin);
             runHostSegment(x);
             return;
         }
-        journal(ProtocolStep::hostForward, pid, d.target);
         tracePoint(TracePoint::hostDescBuild, pid, x.id, to, d.target);
         MigrationDescriptor fwd = d;
         std::uint64_t id = x.id;
@@ -976,7 +902,6 @@ MigrationEngine::handleHostDescriptor(TaskExec &x, MigrationDescriptor d)
       }
 
       case DescriptorKind::nxpToHostReturn: {
-        journal(ProtocolStep::hostReturn, pid, d.retval);
         if (top.caller == hostSide) {
             // (g) The host->NxP round trip completes here.
             tracePoint(TracePoint::hostResume, pid, x.id);
@@ -1319,7 +1244,6 @@ MigrationEngine::startHostSteeredCall(TaskExec &x, VAddr faulted,
     for (unsigned i = 0; i < MigrationDescriptor::maxArgs; ++i)
         f.args[i] = _hostCore.arg(i);
     x.frames.push_back(f);
-    journal(ProtocolStep::hostNxFault, pid, faulted);
     tracePoint(TracePoint::hostNxFault, pid, id, home, faulted);
     after(_timing.nxFaultService + _timing.faultTrapExit +
               hostCycles(_timing.hostHandlerCycles),
@@ -1333,7 +1257,6 @@ MigrationEngine::startHostSteeredCall(TaskExec &x, VAddr faulted,
         std::vector<std::uint64_t> args(top.args.begin(),
                                         top.args.begin() + top.nargs);
         _hostCore.setupCall(twin, args);
-        journal(ProtocolStep::hostSteered, pid, twin);
         tracePoint(TracePoint::hostCallStart, pid, id, 0, twin);
         runHostSegment(*w);
     });
@@ -1596,7 +1519,6 @@ MigrationEngine::startHostToNxpCall(TaskExec &x, VAddr target,
         for (unsigned i = 0; i < MigrationDescriptor::maxArgs; ++i)
             f.args[i] = _hostCore.arg(i);
         x.frames.push_back(f);
-        journal(ProtocolStep::hostNxFault, pid, target);
         tracePoint(TracePoint::hostNxFault, pid, id, device, target);
         after(_timing.nxFaultService + _timing.faultTrapExit +
                   hostCycles(_timing.hostHandlerCycles),
@@ -1610,7 +1532,6 @@ MigrationEngine::startHostToNxpCall(TaskExec &x, VAddr target,
             std::vector<std::uint64_t> args(top.args.begin(),
                                             top.args.begin() + top.nargs);
             _hostCore.setupCall(twin, args);
-            journal(ProtocolStep::hostFallback, pid, twin);
             tracePoint(TracePoint::hostCallStart, pid, id, 0, twin);
             runHostSegment(*w);
         });
@@ -1628,7 +1549,6 @@ MigrationEngine::startHostToNxpCall(TaskExec &x, VAddr target,
     // task_struct, hijack the return address to the migration handler,
     // then trap-exit into the hijacked user-space handler.
     task.savedFaultAddr = target;
-    journal(ProtocolStep::hostNxFault, pid, target);
     tracePoint(TracePoint::hostNxFault, pid, id, device, target);
     after(_timing.nxFaultService + _timing.faultTrapExit,
           [this, pid, id, target, device] {
@@ -1722,9 +1642,6 @@ MigrationEngine::hostSendDescriptor(TaskExec &x, MigrationDescriptor d,
         _kernel.suspendForMigration(task, _hostCore.saveContext());
         after(_timing.suspendSwitch, [this, pid, id, d, device] {
             bool is_call = d.kind == DescriptorKind::hostToNxpCall;
-            journal(is_call ? ProtocolStep::hostSendCall
-                            : ProtocolStep::hostSendReturn,
-                    pid, is_call ? d.target : d.retval);
             Cont fire = [this, pid, id, d, device] {
                 TaskExec *w = live(pid, id);
                 if (!w) {
@@ -1780,7 +1697,7 @@ MigrationEngine::stageHostToNxp(MigrationDescriptor d, unsigned device)
     unsigned slot = s.h2d.push();
     writeHostStaging(d, device, slot);
     traceGauge(TraceGauge::h2dRing, device, s.h2d.inUse());
-    s.h2dBatch.push_back({slot, static_cast<int>(d.pid), d.callId, d.kind});
+    s.h2dBatch.push_back({slot, static_cast<int>(d.pid), d.callId});
     if (!s.batchFlushScheduled) {
         s.batchFlushScheduled = true;
         std::uint64_t epoch = s.batchEpoch;
@@ -1819,11 +1736,8 @@ MigrationEngine::flushH2dBatch(unsigned device)
             _batchMaxDescs = static_cast<unsigned>(n);
             _stats.set("batch.descs_per_burst_max", _batchMaxDescs);
         }
-        for (const auto &e : run) {
+        for (const auto &e : run)
             tracePoint(TracePoint::dmaToNxpStart, e.pid, e.callId, device);
-            if (e.kind == DescriptorKind::hostToNxpCall)
-                journal(ProtocolStep::dmaToNxp, e.pid);
-        }
         NxpPlatform *platform = s.platform;
         // Resolve the burst's staging/mailbox region before the call:
         // the completion lambda's capture moves `run` out from under
@@ -1872,8 +1786,6 @@ MigrationEngine::fireHostToNxp(MigrationDescriptor d, unsigned device)
                              platform->inboxArrived();
                              kickNxp(device);
                          });
-    if (d.kind == DescriptorKind::hostToNxpCall)
-        journal(ProtocolStep::dmaToNxp, static_cast<int>(d.pid));
 }
 
 // --- NxP-side scheduling -------------------------------------------------
@@ -1970,7 +1882,6 @@ MigrationEngine::handleNxpDescriptor(unsigned device,
 
     switch (d.kind) {
       case DescriptorKind::hostToNxpCall: {
-        journal(ProtocolStep::nxpPickup, pid, d.target);
         // Context switch into the thread using the descriptor's stack
         // pointer.
         after(nxpCycles(device, _timing.nxpCtxSwitchCycles),
@@ -1991,7 +1902,6 @@ MigrationEngine::handleNxpDescriptor(unsigned device,
             std::vector<std::uint64_t> args(d.args.begin(),
                                             d.args.begin() + d.nargs);
             core.setupCall(d.target, args);
-            journal(ProtocolStep::nxpCallStart, pid, d.target);
             tracePoint(TracePoint::nxpCallStart, pid, d.callId, device,
                        d.target);
             runNxpSegment(*x, device);
@@ -2025,7 +1935,6 @@ MigrationEngine::handleNxpDescriptor(unsigned device,
             }
             core.restoreContext(task.nxpSavedCtx.back().context);
             task.nxpSavedCtx.pop_back();
-            journal(ProtocolStep::nxpResume, pid, core.pc());
             tracePoint(TracePoint::nxpResume, pid, d.callId, device);
 
             if (x.frames.empty() || x.frames.back().caller != device) {
@@ -2137,7 +2046,7 @@ MigrationEngine::handleNxpStop(int pid, std::uint64_t id, unsigned device,
         ret.kind = DescriptorKind::nxpToHostReturn;
         ret.pid = static_cast<std::uint32_t>(pid);
         ret.retval = rv;
-        deviceSendToHost(x, ret, device, ProtocolStep::nxpSendReturn, rv);
+        deviceSendToHost(x, ret, device);
         return;
       }
 
@@ -2214,8 +2123,9 @@ MigrationEngine::startNxpFaultMigration(TaskExec &x, VAddr target,
             dest = to;
         }
 
-        // The faulted VA stays in the journal; the dispatch VA is what
-        // the descriptor carries (a policy may re-point it at a twin).
+        // The faulted VA is what the trace records; the dispatch VA is
+        // what the descriptor carries (a policy may re-point it at a
+        // twin).
         VAddr dispatch = target;
         VAddr canonical = target;
         if (dest != hostSide) {
@@ -2237,7 +2147,6 @@ MigrationEngine::startNxpFaultMigration(TaskExec &x, VAddr target,
         }
 
         (dest == hostSide ? _nxpToHostCalls : _nxpToNxpCalls).inc();
-        journal(ProtocolStep::nxpFault, pid, target);
         tracePoint(TracePoint::nxpDescBuild, pid, id, device, target);
 
         // Build the NxP->host call descriptor from the faulting call's
@@ -2262,36 +2171,32 @@ MigrationEngine::startNxpFaultMigration(TaskExec &x, VAddr target,
         }
 
         if (_extraRoundTrip) {
-            after(_extraRoundTrip, [this, pid, id, d, device, target] {
+            after(_extraRoundTrip, [this, pid, id, d, device] {
                 TaskExec *v = live(pid, id);
                 if (!v) {
                     releaseNxp(device);
                     return;
                 }
-                deviceSendToHost(*v, d, device,
-                                 ProtocolStep::nxpSendCall, target);
+                deviceSendToHost(*v, d, device);
             });
         } else {
-            deviceSendToHost(w, d, device, ProtocolStep::nxpSendCall,
-                             target);
+            deviceSendToHost(w, d, device);
         }
     });
 }
 
 void
 MigrationEngine::deviceSendToHost(TaskExec &x, MigrationDescriptor d,
-                                  unsigned device, ProtocolStep step,
-                                  VAddr addr)
+                                  unsigned device)
 {
-    int pid = x.task->pid;
     d.callId = x.id;
     after(nxpCycles(device, _timing.nxpDescriptorCycles) +
               _timing.nxpToNxpDram,
-          [this, pid, d, device, step, addr] {
+          [this, d, device] {
         // Context switch to the NxP scheduler, ring the DMA doorbell.
         after(nxpCycles(device, _timing.nxpCtxSwitchCycles) +
                   _timing.nxpToLocalMmio,
-              [this, pid, d, device, step, addr] {
+              [this, d, device] {
             NxpSide &s = side(device);
             if (s.dead || s.health == DeviceHealth::quarantined) {
                 // The device (or its link) was written off while the
@@ -2305,7 +2210,6 @@ MigrationEngine::deviceSendToHost(TaskExec &x, MigrationDescriptor d,
                 s.d2hDeferred.push_back(d);
             else
                 fireNxpToHost(d, device);
-            journal(step, pid, addr);
             releaseNxp(device);
         });
     });

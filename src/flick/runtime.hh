@@ -71,45 +71,6 @@ class SpeculationManager;
 struct EnginePlacementView;
 
 /**
- * One step of the migration protocol, for the journal.
- *
- * The steps map onto Figure 2's (a)..(g) walkthrough; tests assert the
- * ordering and tools print the trace.
- */
-enum class ProtocolStep
-{
-    hostNxFault,      //!< (a) host fetched NxP text: NX page fault.
-    nxpStackAlloc,    //!< first migration: NxP stack allocated.
-    hostSendCall,     //!< (a) call descriptor packaged + thread suspended.
-    dmaToNxp,         //!< descriptor DMA fired (after the suspend).
-    nxpPickup,        //!< (b) NxP scheduler picked the descriptor up.
-    nxpCallStart,     //!< (b) target function entered on the NxP.
-    nxpFault,         //!< (c) NxP fetched host text: fault.
-    nxpSendCall,      //!< (c) NxP-to-host call descriptor sent.
-    hostWake,         //!< (d) host woken by the DMA interrupt.
-    hostCallStart,    //!< (d) target host function entered.
-    hostSendReturn,   //!< (e) host-to-NxP return descriptor sent.
-    nxpResume,        //!< (f) NxP resumed the original function.
-    nxpSendReturn,    //!< (f) NxP-to-host return descriptor sent.
-    hostReturn,       //!< (g) host resumed with the return value.
-    hostForward,      //!< kernel forwarded a device-to-device call.
-    hostFallback,     //!< failed call re-dispatched to host-ISA text.
-    hostSteered,      //!< placement policy ran the host twin instead.
-};
-
-/** Printable step name. */
-const char *protocolStepName(ProtocolStep step);
-
-/** One journal record. */
-struct ProtocolEvent
-{
-    Tick when;
-    ProtocolStep step;
-    int pid;
-    VAddr addr; //!< Target/fault address where meaningful.
-};
-
-/**
  * Health of one NxP device, as the driver's watchdog sees it.
  *
  * healthy --(heartbeat finds outstanding work but no progress)-->
@@ -186,11 +147,6 @@ class MigrationEngine
      * the current simulated time but makes progress only as the event
      * queue runs (CallFuture::wait() pumps it); submitting never blocks.
      *
-     * With admission control enabled (setAdmissionCap) and every
-     * non-quarantined device at its in-flight cap, the call is shed:
-     * the returned future is already done with status
-     * CallStatus::shedLoad and nothing enters the system.
-     *
      * @param stack_top Initial host stack pointer.
      */
     CallFuture submit(Task &task, VAddr entry,
@@ -253,7 +209,7 @@ class MigrationEngine
      */
     void setRetryBudget(unsigned budget) { _retryBudget = budget; }
 
-    // --- Descriptor batching and admission control ----------------------
+    // --- Descriptor batching -------------------------------------------
 
     /**
      * Enable h2d descriptor batching: a staged descriptor opens a
@@ -268,21 +224,6 @@ class MigrationEngine
      * way (tests/fabric_scale_test.cpp asserts both properties).
      */
     void setBatching(bool on) { _batching = on; }
-
-    /**
-     * Per-device in-flight cap (admission control). While every
-     * non-quarantined device's depth (staged + deferred descriptors +
-     * running segment) is at or above @p cap, submit() sheds new calls
-     * with CallStatus::shedLoad instead of queueing them. Load-aware
-     * placement policies also avoid saturated devices (they see
-     * DeviceLoad::saturated). 0 (the default) disables the cap and
-     * leaves every run tick-for-tick identical to the pre-admission
-     * engine.
-     */
-    void setAdmissionCap(unsigned cap) { _admissionCap = cap; }
-
-    /** The configured admission cap (0 = off). */
-    unsigned admissionCap() const { return _admissionCap; }
 
     // --- Multi-tenant QoS & overload protection (DESIGN.md §14) --------
 
@@ -398,10 +339,9 @@ class MigrationEngine
 
     /**
      * Attach the placement policy consulted at every NX-fault dispatch.
-     * nullptr (the default) — and an attached StaticPlacement — keep
-     * dispatch on the paper's link-time pinning, tick-for-tick
-     * identical to the pre-policy engine. The engine does not own the
-     * policy.
+     * nullptr (the default) keeps dispatch on the paper's link-time
+     * pinning, tick-for-tick identical to the pre-policy engine. The
+     * engine does not own the policy.
      */
     void setPlacementPolicy(PlacementPolicy *policy) { _policy = policy; }
 
@@ -465,17 +405,6 @@ class MigrationEngine
 
     /** Current simulated time (CallFuture::waitFor's clock). */
     Tick now() const { return _events.now(); }
-
-    /** Start recording protocol steps (clears any previous journal). */
-    void
-    enableJournal(bool on = true)
-    {
-        _journalOn = on;
-        _journal.clear();
-    }
-
-    /** The recorded protocol steps since enableJournal(). */
-    const std::vector<ProtocolEvent> &journal() const { return _journal; }
 
     StatGroup &stats() { return _stats; }
 
@@ -572,7 +501,6 @@ class MigrationEngine
             unsigned slot;        //!< Staging/inbox ring slot it sits in.
             int pid;
             std::uint64_t callId;
-            DescriptorKind kind;  //!< For per-descriptor journal records.
         };
         //! Descriptors staged during the current window, in ring order.
         std::vector<PendingBurst> h2dBatch;
@@ -663,8 +591,7 @@ class MigrationEngine
 
     /**
      * Hand freed capacity to the tenant queues: weighted-fair dequeue
-     * while any tenant with queued work is under its effective budget
-     * (and the legacy fabric cap, when configured, is not saturated).
+     * while any tenant with queued work is under its effective budget.
      * Re-checks deadline feasibility with the time burned queueing.
      */
     void pumpQosQueues();
@@ -832,11 +759,11 @@ class MigrationEngine
                                 unsigned device);
 
     /**
-     * Ship @p d to the host (outbox stage + doorbell + DMA), journal
-     * @p step, then release the device core.
+     * Ship @p d to the host (outbox stage + doorbell + DMA), then
+     * release the device core.
      */
     void deviceSendToHost(TaskExec &x, MigrationDescriptor d,
-                          unsigned device, ProtocolStep step, VAddr addr);
+                          unsigned device);
     /** Stage @p d in the next d2h ring slot and start its DMA burst. */
     void fireNxpToHost(MigrationDescriptor d, unsigned device);
 
@@ -886,12 +813,6 @@ class MigrationEngine
 
     /** Does @p x's call state reference @p device anywhere? */
     bool execTouches(const TaskExec &x, unsigned device) const;
-
-    /**
-     * Admission control's trigger: true when at least one device is
-     * alive and every alive device is at the in-flight cap.
-     */
-    bool fabricSaturated() const;
 
     /**
      * Complete @p x's call with a non-ok @p status and unwind its
@@ -1002,14 +923,6 @@ class MigrationEngine
     /** Current NxP stack pointer for a (possibly nested) call. */
     std::uint64_t currentNxpSp(const Task &task, unsigned device) const;
 
-    /** Append to the journal when enabled. */
-    void
-    journal(ProtocolStep step, int pid, VAddr addr = 0)
-    {
-        if (_journalOn)
-            _journal.push_back({_events.now(), step, pid, addr});
-    }
-
     /** Emit a trace milestone for call (@p pid, @p id) when tracing. */
     void
     tracePoint(TracePoint p, int pid, std::uint64_t id, unsigned device = 0,
@@ -1058,7 +971,6 @@ class MigrationEngine
     Tick _extraRoundTrip = 0;
     std::uint64_t _nxpStackBytes = 64 * 1024;
     bool _batching = false;      //!< h2d descriptor coalescing on/off.
-    unsigned _admissionCap = 0;  //!< Per-device in-flight cap; 0 = off.
     unsigned _batchMaxDescs = 0; //!< Largest burst shipped so far.
     ChaosController *_chaos = nullptr;
     Tracer *_tracer = nullptr;
@@ -1100,8 +1012,6 @@ class MigrationEngine
     std::map<std::pair<Addr, VAddr>, std::vector<VAddr>> _deviceTwins;
     //! (cr3, twin va) -> canonical va, the reverse of _deviceTwins.
     std::map<std::pair<Addr, VAddr>, VAddr> _twinCanonical;
-    bool _journalOn = false;
-    std::vector<ProtocolEvent> _journal;
     StatGroup _stats;
     SplitCache _protoSlots;
     SplitCache _tenantSlots;

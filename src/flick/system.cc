@@ -29,13 +29,13 @@ hostCoreParams(const TimingConfig &t, bool decode_cache)
 }
 
 CoreParams
-nxpCoreParams(const TimingConfig &t, unsigned device = 0,
-              std::uint64_t freq_hz = 0, bool decode_cache = true)
+nxpCoreParams(const TimingConfig &t, unsigned device, std::uint64_t freq_hz,
+              bool decode_cache)
 {
     CoreParams p;
     p.name = device == 0 ? "nxp" : "nxp" + std::to_string(device + 1);
     p.requester = nxpCoreRequester(device);
-    p.freqHz = freq_hz ? freq_hz : t.nxpFreqHz;
+    p.freqHz = freq_hz;
     p.itlbEntries = t.nxpItlbEntries;
     p.dtlbEntries = t.nxpDtlbEntries;
     p.walkOverhead = t.nxpMmuWalkOverhead;
@@ -50,48 +50,61 @@ nxpCoreParams(const TimingConfig &t, unsigned device = 0,
 
 } // namespace
 
+FlickSystem::NxpDevice::NxpDevice(FlickSystem &sys, unsigned device)
+    : core(nxpCoreParams(sys._config.timing, device,
+                         sys._config.deviceFrequency(device),
+                         sys._config.decodeCache),
+           sys._mem),
+      ctrl(sys._mem, device),
+      dma(sys._events, sys._mem, &sys._irq, device),
+      windowHeap(device == 0 ? "nxp_window"
+                             : "nxp" + std::to_string(device + 1) +
+                                   "_window",
+                 layout::nxpWindowBaseFor(device) +
+                     NxpPlatform::reservedLocalBytes,
+                 sys._config.platform.deviceDramBytes(device) -
+                     NxpPlatform::reservedLocalBytes)
+{
+    ctrl.setNxpMmu(&core.mmu());
+    // Every fabric component consults the one chaos controller, so a
+    // seed fully determines the injected fault sequence; the one tracer
+    // takes queue-depth gauges from every DMA engine.
+    dma.setChaos(&sys._chaos);
+    dma.setTracer(&sys._tracer);
+    core.setNativeRange(layout::nativeGateNxp, layout::nativeGateNxp + 4096,
+                        sys._natives.makeHook(IsaKind::rv64));
+}
+
 FlickSystem::FlickSystem(SystemConfig config)
     : _config(std::move(config)),
       _mem(_config.timing, _config.platform),
       _chaos(_config.chaos),
       _irq(_events, _config.timing),
-      _dma(_events, _mem, &_irq),
-      _platformCtrl(_mem),
       _hostAlloc("host_dram", 0x100000,
                  _config.platform.hostDramBytes - 0x100000),
-      _nxpAlloc("nxp_dram", _platformCtrl.reservedLocalEnd(),
+      _nxpAlloc("nxp_dram",
                 _config.platform.nxpDramLocalBase +
-                    _config.platform.nxpDramBytes -
-                    _platformCtrl.reservedLocalEnd()),
+                    NxpPlatform::reservedLocalBytes,
+                _config.platform.nxpDramBytes -
+                    NxpPlatform::reservedLocalBytes),
       _ptm(_mem, _hostAlloc),
       _hostCore(hostCoreParams(_config.timing, _config.decodeCache), _mem),
-      _nxpCore(nxpCoreParams(_config.timing, 0, _config.deviceFrequency(0),
-                             _config.decodeCache),
-               _mem),
-      _loader(_mem, _ptm, _hostAlloc, _nxpAlloc),
-      _nxpWindowHeap(
-          "nxp_window",
-          layout::nxpWindowBase + (_platformCtrl.reservedLocalEnd() -
-                                   _config.platform.nxpDramLocalBase),
-          _config.platform.nxpDramBytes -
-              (_platformCtrl.reservedLocalEnd() -
-               _config.platform.nxpDramLocalBase))
+      _loader(_mem, _ptm, _hostAlloc, _nxpAlloc)
 {
     if (_config.platform.nxpDeviceCount == 0)
         fatal("a Flick platform needs at least one NxP device");
 
-    _platformCtrl.setNxpMmu(&_nxpCore.mmu());
-
-    // Every fabric component consults the one chaos controller, so a
-    // seed fully determines the injected fault sequence.
-    _dma.setChaos(&_chaos);
     _irq.setChaos(&_chaos);
+    _hostCore.setNativeRange(layout::nativeGateHost,
+                             layout::nativeGateHost + 4096,
+                             _natives.makeHook(IsaKind::hx64));
+    for (unsigned k = 0; k < _config.platform.nxpDeviceCount; ++k)
+        _devices.push_back(std::make_unique<NxpDevice>(*this, k));
 
     // The one tracer (disabled unless configured): milestones from the
     // engine and kernel, queue-depth gauges from the DMA engines.
     if (_config.trace)
         _tracer.enable();
-    _dma.setTracer(&_tracer);
     _kernel.setTracer(&_tracer, &_events);
 
     _engine = std::make_unique<MigrationEngine>(_events, _mem,
@@ -104,21 +117,16 @@ FlickSystem::FlickSystem(SystemConfig config)
     _engine->setHostFallback(_config.hostFallback);
     _engine->setHealthStrikeLimit(_config.healthStrikeLimit);
     _engine->setBatching(_config.batching);
-    _engine->setAdmissionCap(_config.admissionCap);
     _engine->setQos(_config.qos);
     _engine->setArrivalTrace(_config.arrivalTrace);
 
-    // Placement policy (DESIGN.md §11). The policy object always exists
-    // (debug().policy() is total), but the engine is only pointed at it
-    // when the config asks for more than the default link-time pinning:
-    // the fault-free default dispatch path stays exactly the paper's.
+    // Placement policy (DESIGN.md §11). Static placement is no policy
+    // at all: the engine dispatches as linked, exactly the paper's path.
     _placement = _config.placementPolicy
                      ? _config.placementPolicy
                      : makePlacementPolicy(_config.placement,
                                            _config.placementConfig);
-    if (_config.placementPolicy ||
-        _config.placement != PlacementKind::staticPlacement)
-        _engine->setPlacementPolicy(_placement.get());
+    _engine->setPlacementPolicy(_placement.get());
 
     // Per device: a host-side staging ring the kernel packages outbound
     // descriptors into, and a host-side inbox ring the device's outbox
@@ -130,55 +138,14 @@ FlickSystem::FlickSystem(SystemConfig config)
     if (slots > NxpPlatform::maxRingSlots)
         slots = NxpPlatform::maxRingSlots;
     std::uint64_t ring_bytes = slots * DescriptorRing::slotBytes;
-
-    Addr staging0 = _hostAlloc.allocate(ring_bytes);
-    Addr inbox0 = _hostAlloc.allocate(ring_bytes);
-    _engine->addNxpDevice(_nxpCore, _platformCtrl, _dma, _nxpWindowHeap,
-                          staging0, inbox0, 0, slots,
-                          _config.deviceFrequency(0));
-
-    // Devices 1..N-1: each gets its own core, platform controller, DMA
-    // engine, window heap and descriptor rings, registered with the
-    // engine in device-id order.
-    std::uint64_t reserved = _platformCtrl.reservedLocalEnd() -
-                             _config.platform.nxpDramLocalBase;
-    for (unsigned k = 1; k < _config.platform.nxpDeviceCount; ++k) {
-        auto core = std::make_unique<Rv64Core>(
-            nxpCoreParams(_config.timing, k, _config.deviceFrequency(k),
-                          _config.decodeCache),
-            _mem);
-        auto ctrl = std::make_unique<NxpPlatform>(_mem, k);
-        ctrl->setNxpMmu(&core->mmu());
-        auto dma = std::make_unique<DmaEngine>(_events, _mem, &_irq, k);
-        dma->setChaos(&_chaos);
-        dma->setTracer(&_tracer);
-        auto heap = std::make_unique<RegionHeap>(
-            "nxp" + std::to_string(k + 1) + "_window",
-            layout::nxpWindowBaseFor(k) + reserved,
-            _config.platform.deviceDramBytes(k) - reserved);
+    for (unsigned k = 0; k < _devices.size(); ++k) {
+        NxpDevice &d = *_devices[k];
         Addr staging = _hostAlloc.allocate(ring_bytes);
         Addr inbox = _hostAlloc.allocate(ring_bytes);
-        _engine->addNxpDevice(*core, *ctrl, *dma, *heap, staging, inbox, k,
-                              slots, _config.deviceFrequency(k));
-        _extraNxpCores.push_back(std::move(core));
-        _extraPlatformCtrls.push_back(std::move(ctrl));
-        _extraDmas.push_back(std::move(dma));
-        _extraWindowHeaps.push_back(std::move(heap));
+        _engine->addNxpDevice(d.core, d.ctrl, d.dma, d.windowHeap, staging,
+                              inbox, k, slots, _config.deviceFrequency(k));
     }
     _engine->setNxpStackBytes(_config.nxpStackBytes);
-
-    // Native-function gates.
-    _hostCore.setNativeRange(layout::nativeGateHost,
-                             layout::nativeGateHost + 4096,
-                             _natives.makeHook(IsaKind::hx64));
-    _nxpCore.setNativeRange(layout::nativeGateNxp,
-                            layout::nativeGateNxp + 4096,
-                            _natives.makeHook(IsaKind::rv64));
-    for (auto &core : _extraNxpCores) {
-        core->setNativeRange(layout::nativeGateNxp,
-                             layout::nativeGateNxp + 4096,
-                             _natives.makeHook(IsaKind::rv64));
-    }
 
     // Driver bring-up: compute each device's BAR remap offset and write
     // it into that device's TLB control register through its control
@@ -205,14 +172,11 @@ FlickSystem::FlickSystem(SystemConfig config)
         mcfg.enabled = true;
         _migrator = std::make_unique<PageMigrator>(
             _events, _mem, _ptm, *_residencyTracker, _hostAlloc, mcfg);
-        _migrator->addDevice(&_dma, &_nxpWindowHeap);
-        for (std::size_t k = 0; k < _extraDmas.size(); ++k)
-            _migrator->addDevice(_extraDmas[k].get(),
-                                 _extraWindowHeaps[k].get());
+        for (auto &d : _devices)
+            _migrator->addDevice(&d->dma, &d->windowHeap);
         _migrator->addMmu(&_hostCore.mmu());
-        _migrator->addMmu(&_nxpCore.mmu());
-        for (auto &core : _extraNxpCores)
-            _migrator->addMmu(&core->mmu());
+        for (auto &d : _devices)
+            _migrator->addMmu(&d->core.mmu());
         // The write-listener fan-out doubles as the migrator's dirty
         // detector while a page copy is in flight (DESIGN.md §13/§15).
         _mem.addDecodeSink(_migrator.get());
@@ -230,44 +194,12 @@ FlickSystem::FlickSystem(SystemConfig config)
     }
 }
 
-Rv64Core &
-FlickSystem::Debug::nxpCore(unsigned device) const
+FlickSystem::NxpDevice &
+FlickSystem::nxp(unsigned device)
 {
-    if (device == 0)
-        return sys->_nxpCore;
-    if (device - 1 < sys->_extraNxpCores.size())
-        return *sys->_extraNxpCores[device - 1];
-    fatal("no NxP device %u", device);
-}
-
-NxpPlatform &
-FlickSystem::Debug::nxpPlatform(unsigned device) const
-{
-    if (device == 0)
-        return sys->_platformCtrl;
-    if (device - 1 < sys->_extraPlatformCtrls.size())
-        return *sys->_extraPlatformCtrls[device - 1];
-    fatal("no NxP device %u", device);
-}
-
-DmaEngine &
-FlickSystem::Debug::dma(unsigned device) const
-{
-    if (device == 0)
-        return sys->_dma;
-    if (device - 1 < sys->_extraDmas.size())
-        return *sys->_extraDmas[device - 1];
-    fatal("no NxP device %u", device);
-}
-
-RegionHeap &
-FlickSystem::Debug::nxpHeap(unsigned device) const
-{
-    if (device == 0)
-        return sys->_nxpWindowHeap;
-    if (device - 1 < sys->_extraWindowHeaps.size())
-        return *sys->_extraWindowHeaps[device - 1];
-    fatal("no NxP device %u", device);
+    if (device >= _devices.size())
+        fatal("no NxP device %u", device);
+    return *_devices[device];
 }
 
 Process &
@@ -396,32 +328,6 @@ FlickSystem::submit(Process &process, CallSpec spec)
                            thread.hostStackTop - 64, opts);
 }
 
-CallFuture
-FlickSystem::submit(Process &process, const std::string &symbol,
-                    std::vector<std::uint64_t> args)
-{
-    return submit(process, CallSpec(symbol).withArgs(std::move(args)));
-}
-
-CallFuture
-FlickSystem::submit(Process &process, Task &thread,
-                    const std::string &symbol,
-                    std::vector<std::uint64_t> args)
-{
-    return submit(process, CallSpec(symbol)
-                               .withArgs(std::move(args))
-                               .onThread(thread));
-}
-
-CallFuture
-FlickSystem::submitVa(Process &process, Task &thread, VAddr va,
-                      std::vector<std::uint64_t> args)
-{
-    return submit(process, CallSpec::addr(va)
-                               .withArgs(std::move(args))
-                               .onThread(thread));
-}
-
 std::uint64_t
 FlickSystem::call(Process &process, const std::string &symbol,
                   std::vector<std::uint64_t> args)
@@ -433,7 +339,8 @@ std::uint64_t
 FlickSystem::callVa(Process &process, VAddr va,
                     std::vector<std::uint64_t> args)
 {
-    CallFuture f = submitVa(process, *process.task, va, std::move(args));
+    CallFuture f =
+        submit(process, CallSpec::addr(va).withArgs(std::move(args)));
     std::uint64_t v = f.wait();
     if (f.status() != CallStatus::ok) {
         // The synchronous API has no way to hand the outcome back;
@@ -556,7 +463,8 @@ FlickSystem::enableInstructionTrace(std::ostream *os)
 {
     if (!os) {
         _hostCore.setTraceHook(nullptr);
-        _nxpCore.setTraceHook(nullptr);
+        for (auto &d : _devices)
+            d->core.setTraceHook(nullptr);
         return;
     }
 
@@ -586,47 +494,54 @@ FlickSystem::enableInstructionTrace(std::ostream *os)
                       (unsigned long long)_events.now(),
                       (unsigned long long)pc, d.text.c_str());
     });
-    _nxpCore.setTraceHook([this, os, fetch](VAddr pc) {
-        std::uint8_t buf[4] = {};
-        fetch(_nxpCore.mmu().cr3(), pc, buf, 4);
-        std::uint32_t insn = 0;
-        for (int i = 0; i < 4; ++i)
-            insn |= std::uint32_t(buf[i]) << (8 * i);
-        *os << strfmt("%12llu  nxp  %#12llx: %s\n",
-                      (unsigned long long)_events.now(),
-                      (unsigned long long)pc,
-                      rv64Disassemble(insn, pc).c_str());
-    });
+    for (auto &d : _devices) {
+        Rv64Core *core = &d->core;
+        core->setTraceHook([this, os, fetch, core](VAddr pc) {
+            std::uint8_t buf[4] = {};
+            fetch(core->mmu().cr3(), pc, buf, 4);
+            std::uint32_t insn = 0;
+            for (int i = 0; i < 4; ++i)
+                insn |= std::uint32_t(buf[i]) << (8 * i);
+            *os << strfmt("%12llu  %-4s %#12llx: %s\n",
+                          (unsigned long long)_events.now(),
+                          core->name().c_str(), (unsigned long long)pc,
+                          rv64Disassemble(insn, pc).c_str());
+        });
+    }
 }
 
 void
 FlickSystem::dumpStats(std::ostream &os)
 {
     _mem.stats().dump(os);
+    // Section order is part of the output format (benches and tests
+    // parse it): device 0's sections sit among the host's, devices
+    // 1..N-1 follow.
+    auto dumpNxpMmu = [&os](Rv64Core &core) {
+        core.mmu().itlb().stats().dump(os);
+        core.mmu().dtlb().stats().dump(os);
+        core.mmu().walker().stats().dump(os);
+        if (core.icache())
+            core.icache()->stats().dump(os);
+    };
+    NxpDevice &d0 = *_devices[0];
     _kernel.stats().dump(os);
     _chaos.stats().dump(os);
-    _dma.stats().dump(os);
+    d0.dma.stats().dump(os);
     _irq.stats().dump(os);
-    _platformCtrl.stats().dump(os);
+    d0.ctrl.stats().dump(os);
     _engine->stats().dump(os);
     _hostCore.stats().dump(os);
-    _nxpCore.stats().dump(os);
+    d0.core.stats().dump(os);
     _hostCore.mmu().itlb().stats().dump(os);
     _hostCore.mmu().dtlb().stats().dump(os);
-    _nxpCore.mmu().itlb().stats().dump(os);
-    _nxpCore.mmu().dtlb().stats().dump(os);
-    _nxpCore.mmu().walker().stats().dump(os);
-    if (_nxpCore.icache())
-        _nxpCore.icache()->stats().dump(os);
-    for (std::size_t k = 0; k < _extraNxpCores.size(); ++k) {
-        _extraNxpCores[k]->stats().dump(os);
-        _extraPlatformCtrls[k]->stats().dump(os);
-        _extraDmas[k]->stats().dump(os);
-        _extraNxpCores[k]->mmu().itlb().stats().dump(os);
-        _extraNxpCores[k]->mmu().dtlb().stats().dump(os);
-        _extraNxpCores[k]->mmu().walker().stats().dump(os);
-        if (_extraNxpCores[k]->icache())
-            _extraNxpCores[k]->icache()->stats().dump(os);
+    dumpNxpMmu(d0.core);
+    for (std::size_t k = 1; k < _devices.size(); ++k) {
+        NxpDevice &d = *_devices[k];
+        d.core.stats().dump(os);
+        d.ctrl.stats().dump(os);
+        d.dma.stats().dump(os);
+        dumpNxpMmu(d.core);
     }
     if (_residencyTracker) {
         _residencyTracker->syncStats();

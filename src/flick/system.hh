@@ -141,15 +141,6 @@ struct SystemConfig
      */
     bool batching = false;
     /**
-     * Admission control: maximum in-flight calls per device (staged +
-     * deferred descriptors + running segment) before new submissions are
-     * shed (0 = unbounded, the default). When every live device is at
-     * the cap, submit() completes the call immediately with
-     * CallStatus::shedLoad instead of queueing unbounded work, and the
-     * load-aware placement policies route around saturated devices.
-     */
-    unsigned admissionCap = 0;
-    /**
      * Multi-tenant QoS and deadline-aware admission (DESIGN.md §14).
      * Each loaded process is a tenant keyed by its address space; with
      * qos.enabled the engine runs per-tenant in-flight budgets, bounded
@@ -201,13 +192,6 @@ struct SystemConfig
         return *this;
     }
 
-    /** @deprecated Alias of withDevices(), kept for source compat. */
-    SystemConfig &
-    withNxpDevices(unsigned count)
-    {
-        return withDevices(count);
-    }
-
     /** Override device @p device's core frequency (Hz). */
     SystemConfig &
     withDeviceFrequency(unsigned device, std::uint64_t hz)
@@ -233,14 +217,6 @@ struct SystemConfig
     withBatching(bool on = true)
     {
         batching = on;
-        return *this;
-    }
-
-    /** Cap in-flight calls per device; 0 disables (see `admissionCap`). */
-    SystemConfig &
-    withAdmissionControl(unsigned cap)
-    {
-        admissionCap = cap;
         return *this;
     }
 
@@ -440,13 +416,6 @@ struct SystemConfig
         placementConfig = config;
         return *this;
     }
-
-    /** Convenience: configure a second NxP device (Section IV-C3). */
-    void
-    enableSecondNxp()
-    {
-        platform.nxpDeviceCount = 2;
-    }
 };
 
 /** A loaded multi-ISA process with its main thread. */
@@ -563,23 +532,10 @@ class FlickSystem
      * Start the call described by @p spec and return a future. The call
      * makes progress as simulated time advances (wait() on any future,
      * or advanceTime()); concurrent submissions from different threads
-     * of the process overlap across the cores. Under admission control
-     * the future may already be done() with CallStatus::shedLoad.
+     * of the process overlap across the cores. Under QoS the future may
+     * already be done() with CallStatus::shedLoad.
      */
     CallFuture submit(Process &process, CallSpec spec);
-
-    /** @deprecated Use submit(process, CallSpec(symbol).withArgs(...)). */
-    CallFuture submit(Process &process, const std::string &symbol,
-                      std::vector<std::uint64_t> args = {});
-
-    /** @deprecated Use submit() with CallSpec::onThread(). */
-    CallFuture submit(Process &process, Task &thread,
-                      const std::string &symbol,
-                      std::vector<std::uint64_t> args = {});
-
-    /** @deprecated Use submit() with CallSpec::addr(). */
-    CallFuture submitVa(Process &process, Task &thread, VAddr va,
-                        std::vector<std::uint64_t> args = {});
 
     /**
      * Call @p symbol on @p process's main thread, starting on the host
@@ -664,8 +620,9 @@ class FlickSystem
     }
 
     /**
-     * Stream a disassembled instruction trace of both cores to @p os
-     * (pass nullptr to disable). Expensive; for debugging.
+     * Stream a disassembled instruction trace of the host core and every
+     * NxP core to @p os, each line labelled with its core's name (pass
+     * nullptr to disable). Expensive; for debugging.
      */
     void enableInstructionTrace(std::ostream *os);
 
@@ -708,18 +665,34 @@ class FlickSystem
         Kernel &kernel() const { return sys->_kernel; }
         MigrationEngine &engine() const { return *sys->_engine; }
         Hx64Core &hostCore() const { return sys->_hostCore; }
-        Rv64Core &nxpCore(unsigned device = 0) const;
-        NxpPlatform &nxpPlatform(unsigned device = 0) const;
+        Rv64Core &
+        nxpCore(unsigned device = 0) const
+        {
+            return sys->nxp(device).core;
+        }
+        NxpPlatform &
+        nxpPlatform(unsigned device = 0) const
+        {
+            return sys->nxp(device).ctrl;
+        }
         PageTableManager &pageTables() const { return sys->_ptm; }
         NativeRegistry &natives() const { return sys->_natives; }
         EventQueue &events() const { return sys->_events; }
         ChaosController &chaos() const { return sys->_chaos; }
         Tracer &trace() const { return sys->_tracer; }
-        /** The installed placement policy (StaticPlacement by default). */
-        PlacementPolicy &policy() const { return *sys->_placement; }
-        DmaEngine &dma(unsigned device = 0) const;
+        /** The placement policy; nullptr for static placement. */
+        PlacementPolicy *policy() const { return sys->_placement.get(); }
+        DmaEngine &
+        dma(unsigned device = 0) const
+        {
+            return sys->nxp(device).dma;
+        }
         IrqController &irq() const { return sys->_irq; }
-        RegionHeap &nxpHeap(unsigned device = 0) const;
+        RegionHeap &
+        nxpHeap(unsigned device = 0) const
+        {
+            return sys->nxp(device).windowHeap;
+        }
         /** The residency tracker; nullptr unless residencyTracking. */
         ResidencyTracker *
         residency() const
@@ -748,41 +721,29 @@ class FlickSystem
     /** The debug/introspection harness. */
     Debug debug() { return Debug{this}; }
 
-    // Deprecated forwarders, kept for source compatibility; prefer the
-    // grouped debug() harness.
-
-    /** @deprecated Use debug().mem(). */
-    MemSystem &mem() { return debug().mem(); }
-    /** @deprecated Use debug().kernel(). */
-    Kernel &kernel() { return debug().kernel(); }
-    /** @deprecated Use debug().engine(). */
-    MigrationEngine &engine() { return debug().engine(); }
-    /** @deprecated Use debug().hostCore(). */
-    Hx64Core &hostCore() { return debug().hostCore(); }
-    /** @deprecated Use debug().nxpCore(). */
-    Rv64Core &nxpCore(unsigned device = 0) { return debug().nxpCore(device); }
-    /** @deprecated Use debug().nxpPlatform(). */
-    NxpPlatform &
-    nxpPlatform(unsigned device = 0)
-    {
-        return debug().nxpPlatform(device);
-    }
-    /** @deprecated Use debug().nxpDeviceCount(). */
-    unsigned nxpDeviceCount() const
-    {
-        return _config.platform.nxpDeviceCount;
-    }
-    /** @deprecated Use debug().pageTables(). */
-    PageTableManager &pageTables() { return debug().pageTables(); }
-    /** @deprecated Use debug().natives(). */
-    NativeRegistry &natives() { return debug().natives(); }
-    /** @deprecated Use debug().events(). */
-    EventQueue &events() { return debug().events(); }
-    /** @deprecated Use debug().nxpHeap(). */
-    RegionHeap &nxpHeap() { return debug().nxpHeap(); }
-
   private:
     friend struct Debug;
+
+    /**
+     * One NxP device of the fabric: its core, its control block, its
+     * DMA engine, and the heap that carves up its BAR-visible DRAM
+     * window.
+     */
+    struct NxpDevice
+    {
+        NxpDevice(FlickSystem &sys, unsigned device);
+        // The engine, migrator and trace hooks hold its members' addresses.
+        NxpDevice(const NxpDevice &) = delete;
+        NxpDevice &operator=(const NxpDevice &) = delete;
+
+        Rv64Core core;
+        NxpPlatform ctrl;
+        DmaEngine dma;
+        RegionHeap windowHeap;
+    };
+
+    /** Device @p device; dies if the platform has no such device. */
+    NxpDevice &nxp(unsigned device);
 
     Addr translateDebug(const Process &process, VAddr va) const;
 
@@ -795,23 +756,15 @@ class FlickSystem
     ChaosController _chaos;
     Tracer _tracer;
     IrqController _irq;
-    DmaEngine _dma;
-    NxpPlatform _platformCtrl;
     PhysAllocator _hostAlloc;
     PhysAllocator _nxpAlloc;
     PageTableManager _ptm;
     Hx64Core _hostCore;
-    Rv64Core _nxpCore;
     Kernel _kernel;
     ProgramLoader _loader;
     NativeRegistry _natives;
-    RegionHeap _nxpWindowHeap;
-    // Devices 1..N-1 of the fabric (device 0 lives in the members above);
-    // index [k-1] is device k.
-    std::vector<std::unique_ptr<Rv64Core>> _extraNxpCores;
-    std::vector<std::unique_ptr<NxpPlatform>> _extraPlatformCtrls;
-    std::vector<std::unique_ptr<DmaEngine>> _extraDmas;
-    std::vector<std::unique_ptr<RegionHeap>> _extraWindowHeaps;
+    //! The fabric's NxP devices; index k is device k.
+    std::vector<std::unique_ptr<NxpDevice>> _devices;
     std::unique_ptr<MigrationEngine> _engine;
     std::shared_ptr<PlacementPolicy> _placement;
     std::unique_ptr<ResidencyTracker> _residencyTracker;

@@ -57,7 +57,7 @@ ProgramLoader::load(const LinkedImage &image, const LoadOptions &options)
             Addr local_pa = _nxpAlloc.allocate(bytes);
             _mem.nxpDram().write(local_pa - platform.nxpDramLocalBase,
                                  s.bytes.data(), s.bytes.size());
-            Addr host_pa = local_pa + platform.barRemapOffset();
+            Addr host_pa = local_pa + platform.barRemapOffsetFor(0);
             _ptm.map(prog.cr3, s.base, host_pa, bytes, PageSize::size4K,
                      pte::user | pte::writable | pte::noExecute);
             continue;

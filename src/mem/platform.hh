@@ -6,7 +6,8 @@
  * DRAM at low addresses and the NxP's local DRAM through a PCIe BAR
  * (default 0xA0000000); the NxP sees host DRAM at the host's own addresses
  * through the PCIe bridge and its local DRAM at 0x80000000. The
- * BAR-to-local offset that the NxP TLB must subtract is barRemapOffset().
+ * BAR-to-local offset that device k's TLB must subtract is
+ * barRemapOffsetFor(k).
  */
 
 #ifndef FLICK_MEM_PLATFORM_HH
@@ -97,18 +98,6 @@ struct PlatformConfig
         return barBase(device) - nxpDramLocalBase;
     }
 
-    /** Host-side physical base of BAR1 (device 0's control window). */
-    Addr bar1Base() const { return ctrlBase(0); }
-
-    /** Host-side physical base of the second device's control window. */
-    Addr bar3Base() const { return ctrlBase(1); }
-
-    /** Remap offset for the second device's TLBs. */
-    Addr barRemapOffset2() const { return barRemapOffsetFor(1); }
-
-    /** Remap offset for device 0's TLBs (Section IV-A's worked example). */
-    Addr barRemapOffset() const { return barRemapOffsetFor(0); }
-
     /**
      * Find the device whose host-side DRAM window contains @p pa.
      * @return true and sets @p device on a hit.
@@ -146,36 +135,6 @@ struct PlatformConfig
     inHostDram(Addr pa) const
     {
         return pa < hostDramBytes;
-    }
-
-    /** True if @p pa lies in the host-side BAR0 window. */
-    bool
-    inBar0(Addr pa) const
-    {
-        return pa >= barBase(0) && pa < barBase(0) + deviceDramBytes(0);
-    }
-
-    /** True if @p pa lies in the host-side BAR1 window. */
-    bool
-    inBar1(Addr pa) const
-    {
-        return pa >= bar1Base() && pa < bar1Base() + nxpCtrlBytes;
-    }
-
-    /** True if @p pa lies in the second device's DRAM window. */
-    bool
-    inBar2(Addr pa) const
-    {
-        return nxpDeviceCount > 1 && pa >= barBase(1) &&
-               pa < barBase(1) + deviceDramBytes(1);
-    }
-
-    /** True if @p pa lies in the second device's control window. */
-    bool
-    inBar3(Addr pa) const
-    {
-        return nxpDeviceCount > 1 && pa >= bar3Base() &&
-               pa < bar3Base() + nxpCtrlBytes;
     }
 
     /** True if @p pa lies in the NxP-side local DRAM window. */

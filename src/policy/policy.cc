@@ -29,7 +29,7 @@ makePlacementPolicy(PlacementKind kind, const PlacementConfig &config)
 {
     switch (kind) {
       case PlacementKind::staticPlacement:
-        return std::make_shared<StaticPlacement>();
+        return nullptr;
       case PlacementKind::leastLoaded:
         return std::make_shared<LeastLoadedPlacement>();
       case PlacementKind::profileGuided:

@@ -82,13 +82,6 @@ struct DeviceLoad
     bool busy = false;
     /** Written off by the health watchdog; must never be chosen. */
     bool quarantined = false;
-    /**
-     * Admission control: depth reached the configured in-flight cap.
-     * Load-aware policies avoid saturated devices unless every eligible
-     * device is saturated (then depth decides as usual). Always false
-     * when no admission cap is configured.
-     */
-    bool saturated = false;
 };
 
 /** One dispatch decision request. */
@@ -253,24 +246,10 @@ class PlacementPolicy
 };
 
 /**
- * The paper's placement: every call runs on the device its symbol was
- * linked for. Explicitly installing this policy is tick-for-tick
- * identical to running with no policy at all.
+ * Construct one of the shipped policies. staticPlacement — the paper's
+ * link-time pinning — is no policy at all: it returns nullptr, which
+ * the engine dispatches exactly as linked.
  */
-class StaticPlacement final : public PlacementPolicy
-{
-  public:
-    const char *name() const override { return "static"; }
-
-    PlacementDecision
-    place(const PlacementQuery &query, const PlacementCandidates &,
-          const PlacementView &) override
-    {
-        return {false, query.home};
-    }
-};
-
-/** Construct one of the shipped policies. */
 std::shared_ptr<PlacementPolicy>
 makePlacementPolicy(PlacementKind kind, const PlacementConfig &config);
 

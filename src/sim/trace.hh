@@ -101,7 +101,7 @@ enum class TraceGauge : std::uint8_t
     inFlightCalls, ///< calls submitted but not yet completed/failed
 };
 
-/** Stable lowerCamel names, matching the journal/stat naming style. */
+/** Stable lowerCamel names, matching the stat naming style. */
 const char *tracePointName(TracePoint p);
 const char *tracePhaseName(TracePhase ph);
 const char *traceGaugeName(TraceGauge g);

@@ -159,9 +159,7 @@ TEST_P(CallGraphFuzz, MatchesGoldenModelAcrossTwoDevices)
             nxp1_src += emitRv64(f);
     }
 
-    SystemConfig cfg;
-    cfg.enableSecondNxp();
-    FlickSystem sys(cfg);
+    FlickSystem sys(SystemConfig{}.withDevices(2));
     Program prog;
     if (!host_src.empty())
         prog.addHostAsm(host_src);

@@ -112,7 +112,7 @@ RunResult
 runWorkload(Workload w, SystemConfig config)
 {
     if (w == Workload::multiNxp)
-        config.enableSecondNxp();
+        config.withDevices(2);
     FlickSystem sys(config);
     Program prog;
     workloads::addMicrobench(prog);
@@ -308,9 +308,7 @@ TEST(ChaosStats, PerDeviceCountersSumToTotals)
     // Run the multi-NxP workload under heavy corruption so both links
     // see traffic, then check the _dev# split adds up.
     RunResult r;
-    SystemConfig config = SystemConfig{}.withChaos(testChaos(7));
-    config.enableSecondNxp();
-    FlickSystem sys(config);
+    FlickSystem sys(SystemConfig{}.withChaos(testChaos(7)).withDevices(2));
     Program prog;
     workloads::addMicrobench(prog);
     prog.addNxpAsm(dev1Source, 1);

@@ -52,16 +52,16 @@ class ConcurrentCallTest : public ::testing::Test
         proc = &sys->load(prog);
     }
 
-    /** Steps recorded for @p pid, in order. */
-    std::vector<ProtocolStep>
-    stepsFor(int pid)
+    /** Trace milestones recorded for @p pid, in order. */
+    std::vector<TracePoint>
+    pointsFor(int pid)
     {
-        std::vector<ProtocolStep> steps;
-        for (const ProtocolEvent &e : sys->debug().engine().journal()) {
+        std::vector<TracePoint> points;
+        for (const TraceEvent &e : sys->debug().trace().events()) {
             if (e.pid == pid)
-                steps.push_back(e.step);
+                points.push_back(e.point);
         }
-        return steps;
+        return points;
     }
 
     std::unique_ptr<FlickSystem> sys;
@@ -71,7 +71,8 @@ class ConcurrentCallTest : public ::testing::Test
 TEST_F(ConcurrentCallTest, SubmitReturnsBeforeCompletion)
 {
     boot();
-    CallFuture f = sys->submit(*proc, "nxp_add", {40, 2});
+    CallFuture f =
+        sys->submit(*proc, CallSpec("nxp_add").withArgs({40, 2}));
     EXPECT_TRUE(f.valid());
     EXPECT_FALSE(f.done()); // no simulated time has passed yet
     EXPECT_EQ(f.wait(), 42u);
@@ -82,10 +83,13 @@ TEST_F(ConcurrentCallTest, SubmitReturnsBeforeCompletion)
 TEST_F(ConcurrentCallTest, SequentialSubmitsOnOneThread)
 {
     boot();
-    EXPECT_EQ(sys->submit(*proc, "nxp_add", {1, 2}).wait(), 3u);
-    EXPECT_EQ(sys->submit(*proc, "host_add", {3, 4}).wait(), 7u);
-    EXPECT_EQ(sys->submit(*proc, "nxp_sum6", {1, 2, 3, 4, 5, 6}).wait(),
-              21u);
+    auto run = [&](const char *fn, std::vector<std::uint64_t> args) {
+        return sys->submit(*proc, CallSpec(fn).withArgs(std::move(args)))
+            .wait();
+    };
+    EXPECT_EQ(run("nxp_add", {1, 2}), 3u);
+    EXPECT_EQ(run("host_add", {3, 4}), 7u);
+    EXPECT_EQ(run("nxp_sum6", {1, 2, 3, 4, 5, 6}), 21u);
 }
 
 TEST_F(ConcurrentCallTest, FourThreadsOverlapOnOneDevice)
@@ -95,9 +99,10 @@ TEST_F(ConcurrentCallTest, FourThreadsOverlapOnOneDevice)
 
     // Warm the main thread's NxP stack, then measure one thread doing
     // the 8-round-trip loop serially.
-    sys->submit(*proc, "nxp_noop").wait();
+    sys->submit(*proc, CallSpec("nxp_noop")).wait();
     Tick t0 = sys->now();
-    EXPECT_EQ(sys->submit(*proc, "host_calls_nxp", {trips}).wait(), 0u);
+    CallSpec loop = CallSpec("host_calls_nxp").withArgs({trips});
+    EXPECT_EQ(sys->submit(*proc, loop).wait(), 0u);
     Tick serial = sys->now() - t0;
     ASSERT_GT(serial, 0u);
 
@@ -113,10 +118,9 @@ TEST_F(ConcurrentCallTest, FourThreadsOverlapOnOneDevice)
 
     t0 = sys->now();
     std::vector<CallFuture> futures;
-    futures.push_back(sys->submit(*proc, "host_calls_nxp", {trips}));
-    futures.push_back(sys->submit(*proc, t1, "host_calls_nxp", {trips}));
-    futures.push_back(sys->submit(*proc, t2, "host_calls_nxp", {trips}));
-    futures.push_back(sys->submit(*proc, t3, "host_calls_nxp", {trips}));
+    futures.push_back(sys->submit(*proc, loop));
+    for (Task *t : {&t1, &t2, &t3})
+        futures.push_back(sys->submit(*proc, CallSpec(loop).onThread(*t)));
     for (CallFuture &f : futures)
         EXPECT_EQ(f.wait(), 0u);
     Tick concurrent = sys->now() - t0;
@@ -137,36 +141,37 @@ TEST_F(ConcurrentCallTest, PerThreadJournalKeepsFigure2Order)
     Task &t2 = sys->spawnThread(*proc);
     Task &t3 = sys->spawnThread(*proc);
 
-    sys->debug().engine().enableJournal();
+    sys->debug().trace().enable();
     std::vector<CallFuture> futures;
-    futures.push_back(sys->submit(*proc, "nxp_add", {1, 10}));
-    futures.push_back(sys->submit(*proc, t1, "nxp_add", {2, 10}));
-    futures.push_back(sys->submit(*proc, t2, "nxp_add", {3, 10}));
-    futures.push_back(sys->submit(*proc, t3, "nxp_add", {4, 10}));
+    Task *threads[] = {proc->task, &t1, &t2, &t3};
+    for (std::uint64_t i = 0; i < 4; ++i) {
+        futures.push_back(sys->submit(
+            *proc,
+            CallSpec("nxp_add").withArgs({i + 1, 10}).onThread(*threads[i])));
+    }
     for (std::size_t i = 0; i < futures.size(); ++i)
         EXPECT_EQ(futures[i].wait(), 11 + i);
+    // Every thread's first migration allocated its NxP stack.
+    EXPECT_EQ(sys->debug().engine().stats().get("nxp_stacks_allocated"),
+              4u);
 
     // Interleaved globally, but each thread must still walk Figure 2's
     // (a)..(g) order: fault, send, DMA, pickup, run, return.
-    const std::vector<ProtocolStep> want = {
-        ProtocolStep::hostNxFault,   ProtocolStep::hostSendCall,
-        ProtocolStep::dmaToNxp,      ProtocolStep::nxpPickup,
-        ProtocolStep::nxpCallStart,  ProtocolStep::nxpSendReturn,
-        ProtocolStep::hostReturn,
+    using TP = TracePoint;
+    const std::vector<TracePoint> want = {
+        TP::callEntry,     TP::hostNxFault,    TP::hostDescBuild,
+        TP::kernelSuspend, TP::dmaToNxpStart,  TP::dmaToNxpDone,
+        TP::nxpCallStart,  TP::nxpDescBuild,   TP::dmaToHostStart,
+        TP::dmaToHostDone, TP::kernelWake,     TP::hostWake,
+        TP::kernelResume,  TP::hostResume,     TP::callComplete,
     };
-    for (const CallFuture &f : futures) {
-        std::vector<ProtocolStep> steps = stepsFor(f.pid());
-        // Drop the one-time stack allocation, which depends on history.
-        steps.erase(std::remove(steps.begin(), steps.end(),
-                                ProtocolStep::nxpStackAlloc),
-                    steps.end());
-        EXPECT_EQ(steps, want) << "pid " << f.pid();
-    }
+    for (const CallFuture &f : futures)
+        EXPECT_EQ(pointsFor(f.pid()), want) << "pid " << f.pid();
 
-    // Journal timestamps are globally nondecreasing.
-    const auto &journal = sys->debug().engine().journal();
-    for (std::size_t i = 1; i < journal.size(); ++i)
-        EXPECT_GE(journal[i].when, journal[i - 1].when);
+    // Trace timestamps are globally nondecreasing.
+    const auto &events = sys->debug().trace().events();
+    for (std::size_t i = 1; i < events.size(); ++i)
+        EXPECT_GE(events[i].tick, events[i - 1].tick);
 
     sys->exitThread(t1);
     sys->exitThread(t2);
@@ -180,8 +185,10 @@ TEST_F(ConcurrentCallTest, NestedCallsInterleaveAcrossThreads)
 
     // One thread runs cross-ISA mutual recursion while another bounces
     // NxP->host round trips; both nest through the same device.
-    CallFuture fact = sys->submit(*proc, "host_fact_nxp", {6});
-    CallFuture bounce = sys->submit(*proc, t1, "nxp_calls_host", {4});
+    CallFuture fact =
+        sys->submit(*proc, CallSpec("host_fact_nxp").withArgs({6}));
+    CallFuture bounce = sys->submit(
+        *proc, CallSpec("nxp_calls_host").withArgs({4}).onThread(t1));
     EXPECT_EQ(fact.wait(), 720u);
     EXPECT_EQ(bounce.wait(), 0u);
 
@@ -199,20 +206,22 @@ TEST_F(ConcurrentCallTest, TwoDevicesRunTrulyInParallel)
     constexpr std::uint64_t iters = 20000;
 
     // Warm both threads' stacks, then measure each spin serially.
-    sys->submit(*proc, "nxp_noop").wait();
-    sys->submit(*proc, t1, "dev1_noop").wait();
+    sys->submit(*proc, CallSpec("nxp_noop")).wait();
+    sys->submit(*proc, CallSpec("dev1_noop").onThread(t1)).wait();
     Tick t0 = sys->now();
-    sys->submit(*proc, "nxp_noop_loop", {iters}).wait();
+    CallSpec spin0 = CallSpec("nxp_noop_loop").withArgs({iters});
+    CallSpec spin1 = CallSpec("dev1_spin").withArgs({iters}).onThread(t1);
+    sys->submit(*proc, spin0).wait();
     Tick serial0 = sys->now() - t0;
     t0 = sys->now();
-    sys->submit(*proc, t1, "dev1_spin", {iters}).wait();
+    sys->submit(*proc, spin1).wait();
     Tick serial1 = sys->now() - t0;
 
     // Concurrently the spins run on different devices, so the batch
     // takes about the longer spin, not the sum.
     t0 = sys->now();
-    CallFuture f0 = sys->submit(*proc, "nxp_noop_loop", {iters});
-    CallFuture f1 = sys->submit(*proc, t1, "dev1_spin", {iters});
+    CallFuture f0 = sys->submit(*proc, spin0);
+    CallFuture f1 = sys->submit(*proc, spin1);
     EXPECT_EQ(f0.wait(), iters); // nxp_noop_loop returns its argument
     EXPECT_EQ(f1.wait(), 0u);
     Tick concurrent = sys->now() - t0;
@@ -231,8 +240,13 @@ TEST_F(ConcurrentCallTest, ExitThreadReturnsNxpStacksToTheHeap)
 
     Task &t1 = sys->spawnThread(*proc);
     Task &t2 = sys->spawnThread(*proc);
-    EXPECT_EQ(sys->submit(*proc, t1, "nxp_add", {1, 1}).wait(), 2u);
-    EXPECT_EQ(sys->submit(*proc, t2, "nxp_add", {2, 2}).wait(), 4u);
+    auto add_on = [&](Task &t, std::uint64_t v) {
+        return sys->submit(*proc,
+                           CallSpec("nxp_add").withArgs({v, v}).onThread(t))
+            .wait();
+    };
+    EXPECT_EQ(add_on(t1, 1), 2u);
+    EXPECT_EQ(add_on(t2, 2), 4u);
     EXPECT_GT(heap.allocatedBytes(), baseline);
 
     sys->exitThread(t1);
@@ -242,7 +256,7 @@ TEST_F(ConcurrentCallTest, ExitThreadReturnsNxpStacksToTheHeap)
 
     // Releasing the main thread's stack too drains the heap completely:
     // nothing leaks across thread lifetimes.
-    sys->submit(*proc, "nxp_noop").wait();
+    sys->submit(*proc, CallSpec("nxp_noop")).wait();
     sys->debug().engine().releaseNxpStacks(*proc->task);
     EXPECT_EQ(heap.allocatedBytes(), 0u);
 }
@@ -257,8 +271,10 @@ TEST_F(ConcurrentCallTest, SpawnedThreadStacksAreIsolated)
     EXPECT_NE(t1.hostStackTop, proc->task->hostStackTop);
 
     // Both threads can run host work on their own stacks concurrently.
-    CallFuture a = sys->submit(*proc, t1, "host_fact_nxp", {5});
-    CallFuture b = sys->submit(*proc, t2, "host_fact_nxp", {7});
+    CallFuture a = sys->submit(
+        *proc, CallSpec("host_fact_nxp").withArgs({5}).onThread(t1));
+    CallFuture b = sys->submit(
+        *proc, CallSpec("host_fact_nxp").withArgs({7}).onThread(t2));
     EXPECT_EQ(a.wait(), 120u);
     EXPECT_EQ(b.wait(), 5040u);
 

@@ -1,17 +1,15 @@
 /**
  * @file
- * The N-device migration fabric, descriptor batching and admission
- * control (DESIGN.md §12).
+ * The N-device migration fabric and descriptor batching (DESIGN.md §12).
  *
  * Covers the contract that makes the fabric generalization safe to
- * ship: any device count boots and runs correctly; batching and
- * admission control are strictly opt-in (a run with both disabled is
- * tick-for-tick identical to the default config at every fabric size,
- * and their counters stay zero); batching changes when descriptors
- * move, never what calls compute; admission control sheds at submit
- * time with CallStatus::shedLoad once every live device is at its cap;
+ * ship: any device count boots and runs correctly; batching is strictly
+ * opt-in (a run with it disabled is tick-for-tick identical to the
+ * default config at every fabric size, and its counters stay zero);
+ * batching changes when descriptors move, never what calls compute;
  * placement hints steer first dispatch; and an 8-device fabric routes
- * around a quarantined member.
+ * around a quarantined member. Load shedding is QoS's job
+ * (tests/qos_test.cpp).
  */
 
 #include <gtest/gtest.h>
@@ -90,10 +88,8 @@ TEST(FabricScale, DisabledFeaturesAreTickIdenticalAtEveryWidth)
             delete sys;
         }
         {
-            auto [sys, proc] = makeFabric(SystemConfig{}
-                                              .withBatching(false)
-                                              .withAdmissionControl(0),
-                                          n);
+            auto [sys, proc] =
+                makeFabric(SystemConfig{}.withBatching(false), n);
             EXPECT_EQ(runHotStorm(*sys, *proc, 4, 300), ref)
                 << n << " devices";
             EXPECT_EQ(statsDump(*sys), ref_stats) << n << " devices";
@@ -110,7 +106,6 @@ TEST(FabricScale, FeatureCountersZeroWhenOff)
     EXPECT_EQ(st.get("batch.bursts"), 0u);
     EXPECT_EQ(st.get("batch.coalesced"), 0u);
     EXPECT_EQ(st.get("batch.descs_per_burst_max"), 0u);
-    EXPECT_EQ(st.get("admission.shed"), 0u);
     // The unbatched path still counts one doorbell per descriptor.
     EXPECT_GT(st.get("doorbell_writes"), 0u);
     delete sys;
@@ -199,56 +194,6 @@ TEST(FabricBatching, BitIdenticalResultsFewerDoorbells)
     EXPECT_LT(batched_doorbells, plain_doorbells);
     EXPECT_EQ(batched_doorbells + coalesced, plain_doorbells)
         << "every coalesced descriptor saves exactly one doorbell";
-}
-
-// --- Admission control ---------------------------------------------------
-
-TEST(FabricAdmission, ShedsAtSubmitWhenEveryDeviceIsAtCap)
-{
-    auto [sys, proc] = makeFabric(SystemConfig{}
-                                      .withRingSlots(2)
-                                      .withAdmissionControl(1),
-                                  1);
-    Task &t1 = sys->spawnThread(*proc);
-    Task &t2 = sys->spawnThread(*proc);
-
-    // A long-occupancy call fills device 0's single admission slot.
-    CallFuture busy = sys->submit(
-        *proc, CallSpec("mix_cold").withArgs({7, 20000}).onThread(t1));
-    sys->advanceTime(us(50)); // let its descriptor reach the device
-
-    // The fabric is saturated: this call is shed at submit time,
-    // without consuming a ring slot or a simulated tick.
-    Tick before = sys->now();
-    CallFuture shed = sys->submit(
-        *proc, CallSpec("mix_hot").withArgs({1, 100}).onThread(t2));
-    EXPECT_TRUE(shed.done());
-    EXPECT_EQ(shed.status(), CallStatus::shedLoad);
-    EXPECT_EQ(shed.value(), 0u);
-    EXPECT_EQ(sys->now(), before);
-    EXPECT_GE(sys->debug().engine().stats().get("admission.shed"), 1u);
-
-    // The in-flight call is unharmed, and capacity frees with it.
-    EXPECT_EQ(busy.wait(), workloads::mixHotRef(7, 20000));
-    CallFuture after = sys->submit(
-        *proc, CallSpec("mix_hot").withArgs({1, 100}).onThread(t2));
-    EXPECT_EQ(after.wait(), workloads::mixHotRef(1, 100));
-    EXPECT_EQ(after.status(), CallStatus::ok);
-    delete sys;
-}
-
-TEST(FabricAdmission, IdleFabricNeverSheds)
-{
-    auto [sys, proc] =
-        makeFabric(SystemConfig{}.withAdmissionControl(1), 2);
-    for (unsigned i = 0; i < 4; ++i) {
-        CallFuture f = sys->submit(
-            *proc, CallSpec("mix_hot").withArgs({i + 1, 100}));
-        EXPECT_EQ(f.wait(), workloads::mixHotRef(i + 1, 100));
-        EXPECT_EQ(f.status(), CallStatus::ok);
-    }
-    EXPECT_EQ(sys->debug().engine().stats().get("admission.shed"), 0u);
-    delete sys;
 }
 
 // --- Placement hints and fabric fault handling ---------------------------

@@ -97,8 +97,10 @@ TEST_F(LoaderTest, AnnotatedSectionsLandInNxpDram)
     ASSERT_TRUE(d);
     // The PTE holds a BAR0 physical address (Section III-D): the host
     // reaches it over PCIe, the NxP TLB remaps it to local DRAM.
-    EXPECT_TRUE(platform.inBar0(d->pa));
-    Addr local = d->pa - platform.barRemapOffset();
+    unsigned dev = ~0u;
+    EXPECT_TRUE(platform.inBarDram(d->pa, dev));
+    EXPECT_EQ(dev, 0u);
+    Addr local = d->pa - platform.barRemapOffsetFor(0);
     EXPECT_EQ(mem.nxpDram().readInt(local - platform.nxpDramLocalBase, 1),
               0xbbu);
 }

@@ -197,7 +197,7 @@ TEST_F(MemSystemTest, ControlWindowBothViews)
     EXPECT_EQ(r, timing.nxpToLocalMmio);
 
     // Host-side view through BAR1 hits the same registers.
-    Tick w = mem.writeInt(Requester::hostCore, platform.bar1Base() + 0x8,
+    Tick w = mem.writeInt(Requester::hostCore, platform.ctrlBase(0) + 0x8,
                           0x99, 8);
     EXPECT_EQ(dev.value, 0x99u);
     EXPECT_EQ(w, timing.hostToNxpMmio);
@@ -207,11 +207,14 @@ TEST(PlatformConfig, RemapOffsetMatchesPaperExample)
 {
     PlatformConfig p;
     // Section IV-A's worked example computes offset 0x40000000.
-    EXPECT_EQ(p.barRemapOffset(), 0x40000000u);
-    EXPECT_TRUE(p.inBar0(p.bar0Base));
-    EXPECT_TRUE(p.inBar0(p.bar0Base + p.nxpDramBytes - 1));
-    EXPECT_FALSE(p.inBar0(p.bar0Base + p.nxpDramBytes));
-    EXPECT_TRUE(p.inBar1(p.bar1Base()));
+    EXPECT_EQ(p.barRemapOffsetFor(0), 0x40000000u);
+    unsigned dev = ~0u;
+    EXPECT_TRUE(p.inBarDram(p.bar0Base, dev));
+    EXPECT_EQ(dev, 0u);
+    EXPECT_TRUE(p.inBarDram(p.bar0Base + p.nxpDramBytes - 1, dev));
+    EXPECT_FALSE(p.inBarDram(p.bar0Base + p.nxpDramBytes, dev));
+    EXPECT_TRUE(p.inBarCtrl(p.ctrlBase(0), dev));
+    EXPECT_EQ(dev, 0u);
     EXPECT_TRUE(p.inNxpLocalDram(p.nxpDramLocalBase));
     EXPECT_TRUE(p.inHostDram(0));
     EXPECT_FALSE(p.inHostDram(p.hostDramBytes));

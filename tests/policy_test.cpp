@@ -3,8 +3,9 @@
  * Placement & dispatch policy subsystem (DESIGN.md §11).
  *
  * Covers the contract that makes the policy layer safe to ship on by
- * default — StaticPlacement (and no policy at all) is tick-for-tick
- * identical to the pre-policy engine and bumps no counters — plus the
+ * default — static placement (no policy at all, or a policy that pins
+ * every call home) is tick-for-tick identical to the pre-policy engine
+ * and bumps no counters — plus the
  * interesting behavior of the other two shipped policies: least-loaded
  * balancing spreads a concurrent storm across both NxPs
  * deterministically and never picks a quarantined device; the
@@ -79,10 +80,24 @@ statsDump(FlickSystem &sys)
 
 // --- Tick identity with the policy off (or explicitly static) ----------
 
+/** The paper's link-time pinning written as an explicit policy. */
+class PinToHome final : public PlacementPolicy
+{
+  public:
+    const char *name() const override { return "pin-to-home"; }
+
+    PlacementDecision
+    place(const PlacementQuery &query, const PlacementCandidates &,
+          const PlacementView &) override
+    {
+        return {false, query.home};
+    }
+};
+
 TEST(PlacementStatic, ExplicitStaticIsTickIdenticalToDefault)
 {
     // Same workload, three configs: default (no policy consulted), the
-    // static kind, and an injected StaticPlacement instance (policy
+    // static kind, and an injected pin-to-home instance (policy
     // consulted at every fault). All three must produce the same event
     // stream — same final tick, same stats.
     Tick ref = 0;
@@ -102,8 +117,7 @@ TEST(PlacementStatic, ExplicitStaticIsTickIdenticalToDefault)
     }
     {
         auto [sys, proc] = makeMixSystem(
-            SystemConfig{}.withPlacement(
-                std::make_shared<StaticPlacement>()));
+            SystemConfig{}.withPlacement(std::make_shared<PinToHome>()));
         EXPECT_EQ(runHotStorm(*sys, *proc, 4, 300), ref);
         EXPECT_EQ(statsDump(*sys), ref_stats);
         delete sys;
@@ -292,7 +306,7 @@ TEST(PlacementProfileGuided, KeepsNearDataWorkOnTheDevice)
 
     // The learned profile is inspectable and reflects the flip-back.
     auto &pg = dynamic_cast<ProfileGuidedPlacement &>(
-        sys->debug().policy());
+        *sys->debug().policy());
     const auto *prof = pg.profile(proc->image.cr3,
                                   proc->image.symbol("mix_near"));
     ASSERT_NE(prof, nullptr);
@@ -379,10 +393,10 @@ relay_chain:
     Process &proc = sys.load(prog);
 
     EXPECT_EQ(sys.call(proc, "relay_chain", {10}), 41u);
-    EXPECT_EQ(sys.engine().stats().get("nxp_to_nxp_calls"), 1u);
+    EXPECT_EQ(sys.debug().engine().stats().get("nxp_to_nxp_calls"), 1u);
 
     auto &pg =
-        dynamic_cast<ProfileGuidedPlacement &>(sys.debug().policy());
+        dynamic_cast<ProfileGuidedPlacement &>(*sys.debug().policy());
     // The relayed callee got a device-side sample of its own...
     const auto *callee =
         pg.profile(proc.image.cr3, proc.image.symbol("relay_scale"));
@@ -395,7 +409,7 @@ relay_chain:
         pg.profile(proc.image.cr3, proc.image.symbol("relay_chain"));
     ASSERT_NE(outer, nullptr);
     EXPECT_EQ(outer->deviceSamples, 1u);
-    EXPECT_GE(sys.engine().stats().get("placement.model_updates"), 2u);
+    EXPECT_GE(sys.debug().engine().stats().get("placement.model_updates"), 2u);
 }
 
 } // namespace

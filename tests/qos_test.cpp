@@ -213,6 +213,40 @@ TEST(QosShed, ShedFutureLeavesEngineUntouched)
     delete sysp;
 }
 
+TEST(QosShed, BudgetFreesWhenInFlightCallCompletes)
+{
+    QosConfig q;
+    q.tenantInFlight = 1;
+    q.tenantQueueCap = 0;
+    auto [sysp, procp] = makeMixSystem(SystemConfig{}.withQos(q), 2);
+    FlickSystem &sys = *sysp;
+    Process &proc = *procp;
+    Task &t2 = sys.spawnThread(proc);
+
+    // Back-to-back calls never exceed the budget of one: none is shed.
+    for (std::uint64_t i = 0; i < 4; ++i) {
+        CallFuture f =
+            sys.submit(proc, CallSpec("mix_hot").withArgs({i + 1, 100}));
+        EXPECT_EQ(f.wait(), workloads::mixHotRef(i + 1, 100));
+        EXPECT_EQ(f.status(), CallStatus::ok);
+    }
+    const StatGroup &st = sys.debug().engine().stats();
+    EXPECT_EQ(st.get("qos.shed"), 0u);
+
+    // Over budget while a call is in flight; admitted again once it
+    // completes.
+    CallFuture busy =
+        sys.submit(proc, CallSpec("mix_cold").withArgs({7, 2000}));
+    CallSpec next = CallSpec("mix_hot").withArgs({1, 100}).onThread(t2);
+    EXPECT_EQ(sys.submit(proc, next).status(), CallStatus::shedLoad);
+    EXPECT_EQ(busy.wait(), workloads::mixHotRef(7, 2000));
+    CallFuture after = sys.submit(proc, next);
+    EXPECT_EQ(after.wait(), workloads::mixHotRef(1, 100));
+    EXPECT_EQ(after.status(), CallStatus::ok);
+    EXPECT_EQ(st.get("qos.shed"), 1u);
+    delete sysp;
+}
+
 TEST(QosShed, DeadlineInfeasibleShedUpfront)
 {
     auto [sysp, procp] = makeMixSystem(SystemConfig{}.withQos(), 1);

@@ -149,9 +149,10 @@ identityScenario(FlickSystem &sys, Process &proc)
 TEST(Speculation, OffAndIdleAreTickIdenticalAndSilent)
 {
     // Off: no manager. Idle: manager attached (the mem hook interposes
-    // on every timed access) but the default StaticPlacement reports
-    // confidence 100, so no race ever launches. Both must match the
-    // seed run tick for tick with zero flick.spec.* stat lines.
+    // on every timed access) but with no placement policy every
+    // dispatch reports confidence 100, so no race ever launches. Both
+    // must match the seed run tick for tick with zero flick.spec.* stat
+    // lines.
     auto [off, poff] = makeSpecSystem(SystemConfig{});
     auto [idle, pidle] = makeSpecSystem(SystemConfig{}.withSpeculation());
 
@@ -202,7 +203,7 @@ TEST(Speculation, HostWinCommitsAndHarvestsTheDoubleSample)
     EXPECT_EQ(st.get("spec.double_samples"), 1u);
     EXPECT_EQ(st.get("spec.double_samples_dev0"), 1u);
     auto &pg = dynamic_cast<ProfileGuidedPlacement &>(
-        sys->debug().policy());
+        *sys->debug().policy());
     const auto *prof = pg.profile(proc->image.cr3,
                                   proc->image.symbol("shard_sum"));
     ASSERT_NE(prof, nullptr);
@@ -270,7 +271,7 @@ TEST(Speculation, NxpWinSquashesTheHostTwinCleanly)
     // The squashed twin's end-to-end host cost was still measured
     // functionally and fed to the model for free.
     auto &pg = dynamic_cast<ProfileGuidedPlacement &>(
-        sys->debug().policy());
+        *sys->debug().policy());
     const auto *prof = pg.profile(proc->image.cr3,
                                   proc->image.symbol("shard_sum"));
     ASSERT_NE(prof, nullptr);

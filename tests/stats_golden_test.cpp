@@ -2,13 +2,15 @@
  * @file
  * Stats-identity golden test.
  *
- * Host-speed work on the simulator (hot-path rewrites of the CRC, the
- * stat counters, the memory routes, the event queue) must not move a
- * single simulated tick or counter. This test pins that down: three
- * small configurations run to completion, and a digest of their full
+ * Host-speed work and refactoring of the simulator (hot-path rewrites
+ * of the CRC, the stat counters, the memory routes, the event queue;
+ * the per-device wiring of FlickSystem) must not move a single
+ * simulated tick or counter. This test pins that down: four small
+ * configurations run to completion, and a digest of their full
  * dumpStats() text plus the final tick must equal constants recorded
- * before any of that work. A mismatch means the change altered the
- * simulation, not just its speed; the printed dump shows what moved.
+ * before that work. A mismatch means the change altered the
+ * simulation, not just its speed or shape; the printed dump shows what
+ * moved.
  *
  * Re-record the constants only in a change that means to alter the
  * simulated results, and say why in CHANGES.md.
@@ -26,6 +28,7 @@
 #include "workloads/graph.hh"
 #include "workloads/microbench.hh"
 #include "workloads/placement_mix.hh"
+#include "workloads/sharded.hh"
 
 using namespace flick;
 
@@ -156,6 +159,66 @@ runFabric()
     return finish(sys);
 }
 
+/**
+ * Two devices with every per-device wiring path live: hot-page
+ * migration (per-device DMA/heap and per-core MMU registration), the
+ * tracer's breakdown in dumpStats(), seeded fabric faults, and calls
+ * forwarded from device 0 to device 1 through the host kernel.
+ */
+Outcome
+runTwoDevicesMigrationTraceChaos()
+{
+    ChaosConfig chaos;
+    chaos.enabled = true;
+    chaos.seed = 5;
+    chaos.corruptRate = 0.15;
+    chaos.dropIrqRate = 0.10;
+    chaos.duplicateIrqRate = 0.10;
+    chaos.delayRate = 0.30;
+    FlickSystem sys(SystemConfig{}
+                        .withDevices(2)
+                        .withPageMigration()
+                        .withTrace()
+                        .withChaos(chaos));
+    Program prog;
+    workloads::addMicrobench(prog);
+    workloads::addShardedKernels(prog, 2);
+    prog.addNxpAsm(R"(
+dev1_scale:
+    slli a0, a0, 2
+    ret
+)",
+                   1);
+    prog.addNxpAsm(R"(
+dev0_chain:
+    addi sp, sp, -16
+    sd ra, 8(sp)
+    call dev1_scale
+    addi a0, a0, 1
+    ld ra, 8(sp)
+    addi sp, sp, 16
+    ret
+)");
+    Process &proc = sys.load(prog);
+
+    constexpr std::uint64_t words = 256;
+    VAddr buf = sys.migratableMalloc(proc, words * 8, -1);
+    for (std::uint64_t i = 0; i < words; ++i)
+        sys.writeVa(proc, buf + 8 * i, workloads::shardWord(1, i));
+    for (std::uint64_t i = 0; i < 6; ++i) {
+        EXPECT_EQ(sys.submit(proc, CallSpec("shard_gather")
+                                       .withArgs({buf, words}))
+                      .wait(),
+                  workloads::shardSumRef(1, 0, words));
+        EXPECT_EQ(sys.submit(proc, CallSpec("dev0_chain").withArgs({i}))
+                      .wait(),
+                  4 * i + 1);
+        sys.advanceTime(us(200));
+    }
+    EXPECT_EQ(sys.submit(proc, CallSpec("nxp_noop")).wait(), 0u);
+    return finish(sys);
+}
+
 } // namespace
 
 TEST(StatsGolden, TableThreeRoundtrips)
@@ -171,4 +234,10 @@ TEST(StatsGolden, SmallBfsBaselineThenFlick)
 TEST(StatsGolden, FourDevicesBatchingAndQos)
 {
     expectGolden(runFabric(), 7788291669425336230ull, 245256552);
+}
+
+TEST(StatsGolden, TwoDevicesMigrationTraceChaosForward)
+{
+    expectGolden(runTwoDevicesMigrationTraceChaos(), 6285687660209750921ull,
+                 2508282262);
 }

@@ -285,7 +285,7 @@ TEST(Tlb, BarRemap)
 {
     PlatformConfig p;
     Tlb tlb("t", 4);
-    tlb.setBarRemap(p.bar0Base, p.nxpDramBytes, p.barRemapOffset());
+    tlb.setBarRemap(p.bar0Base, p.nxpDramBytes, p.barRemapOffsetFor(0));
     // Addresses inside the BAR window shift to local addresses.
     EXPECT_EQ(tlb.applyRemap(p.bar0Base + 0x123),
               p.nxpDramLocalBase + 0x123);
@@ -441,7 +441,7 @@ TEST_F(MmuTest, BarRemapAppliedToDataPath)
     PlatformConfig p;
     Mmu mmu("m", mem, Requester::nxpMmu, 0, 16, 16, MmuPolicy{});
     mmu.setCr3(cr3);
-    mmu.setBarRemap(p.bar0Base, p.nxpDramBytes, p.barRemapOffset());
+    mmu.setBarRemap(p.bar0Base, p.nxpDramBytes, p.barRemapOffsetFor(0));
     ptm.map(cr3, 0x400000, p.bar0Base, 4096, PageSize::size4K,
             pte::user | pte::writable);
     TranslationResult tr = mmu.translate(0x400123, AccessType::read);
