@@ -3,32 +3,38 @@
  * Interpreter fast-path benchmark (DESIGN.md §13).
  *
  * Unlike the other benches, this one measures *simulator* speed, not
- * simulated time: the decoded-instruction cache and threaded dispatch
+ * simulated time: the decoded-instruction cache and page-local dispatch
  * exist so long-running workloads (BFS, kvstore, the fabric sweeps)
- * finish in reasonable wall-clock. Two legs:
+ * finish in reasonable host time. Two legs:
  *
  *   1. Bare-core execute loops. Each interpreter spins a tight ALU
  *      loop and reports simulated MIPS (simulated instructions per
- *      wall-clock second) with the decode cache on vs off. The cached
- *      run must be >= 5x the reference run on both ISAs, and both
- *      runs must retire the same instruction count, tick count, and
- *      final register file — the cache is a pure speed optimization.
+ *      process-CPU second) with the decode cache on vs off. Reference
+ *      and cached runs alternate (the order flips every pair) so drift
+ *      in host speed hits both alike; the gated speedup is the median
+ *      of the per-pair ratios, printed with its quartiles and n. It
+ *      must be >= 5x on both ISAs, and both runs must retire the same
+ *      instruction count, tick count, and final register file — the
+ *      cache is a pure speed optimization.
  *
  *   2. An 8-device fabric storm (the bench_placement scaling
  *      workload) run end to end with the cache on vs off. Simulated
- *      time and every call result must match exactly; wall-clock is
+ *      time and every call result must match exactly; CPU time is
  *      reported as the before/after row for EXPERIMENTS.md.
  *
  * Flags: --iters=N (loop iterations, default 2000000), --reps=N
- * (timed repetitions, best-of, default 3), --devices=N (default 8),
- * --threads=N (default 16), --batches=N (default 2), --rounds=N
- * (default 2000), --smoke (tiny sizes, identity checks only — the
- * 5x gate needs full-size runs to time stably).
+ * (interleaved reference/cached pairs, default 9, at least 7 outside
+ * smoke mode), --devices=N (default 8), --threads=N (default 16),
+ * --batches=N (default 2), --rounds=N (default 2000), --smoke (tiny
+ * sizes, one pair, identity checks only — the 5x gate needs full-size
+ * runs to time stably).
  * Exits 1 if any identity or speedup gate fails.
  */
 
-#include <chrono>
+#include <algorithm>
 #include <cstdio>
+#include <ctime>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -46,12 +52,11 @@ using namespace flick::bench;
 namespace
 {
 
+/** Process CPU seconds: host time other processes get is not counted. */
 double
-secondsSince(std::chrono::steady_clock::time_point t0)
+cpuSeconds()
 {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-        .count();
+    return static_cast<double>(std::clock()) / CLOCKS_PER_SEC;
 }
 
 /** A bare core's world: one executable page, nothing else. */
@@ -82,23 +87,6 @@ struct LoopEnv
     Addr text_pa = 0;
 };
 
-/** One mode's measurement: wall-clock best-of plus the final state. */
-struct LoopResult
-{
-    double mips = 0;
-    Fault stop = Fault::none;
-    Tick elapsed = 0;
-    std::uint64_t instructions = 0;
-    std::vector<std::uint64_t> context;
-
-    bool
-    sameArchState(const LoopResult &o) const
-    {
-        return stop == o.stop && elapsed == o.elapsed &&
-               instructions == o.instructions && context == o.context;
-    }
-};
-
 CoreParams
 coreParams(const char *name, Requester req, std::uint64_t freq,
            bool decode_cache)
@@ -112,100 +100,173 @@ coreParams(const char *name, Requester req, std::uint64_t freq,
 }
 
 /**
- * Time @p reps runs of a prepared core, taking the fastest to shave
- * scheduler noise. @p reset rewinds architectural state between runs;
- * the first (untimed) run warms the decode cache, TLBs, and sparse
- * memory so every timed run sees steady state.
+ * A bare core spinning one loop, warmed up, with the state a run from
+ * @p reset must end in. The first (untimed) run warms the decode
+ * cache, TLBs, and sparse memory so every timed run sees steady state.
  */
-template <typename CoreT, typename ResetFn>
-LoopResult
-timeLoop(CoreT &core, ResetFn reset, std::uint64_t limit, int reps)
+template <typename CoreT>
+struct LoopBench
 {
-    reset(core);
-    core.run(limit); // warm-up: pays the cold TLB walks once
-    reset(core);
-    RunResult steady = core.run(limit);
-    LoopResult r;
-    r.stop = steady.stop;
-    r.elapsed = steady.elapsed;
-    r.instructions = steady.instructions;
-    r.context = core.saveContext();
-
-    double best = 1e30;
-    for (int i = 0; i < reps; ++i) {
+    LoopBench(const CoreParams &params, const void *code, std::size_t len,
+              std::function<void(CoreT &)> reset_fn, std::uint64_t limit_)
+        : core(params, env.mem), reset(std::move(reset_fn)), limit(limit_)
+    {
+        env.setCode(code, len);
+        core.mmu().setCr3(env.cr3);
         reset(core);
-        auto t0 = std::chrono::steady_clock::now();
+        core.run(limit); // warm-up: pays the cold TLB walks once
+        reset(core);
+        RunResult steady = core.run(limit);
+        stop = steady.stop;
+        elapsed = steady.elapsed;
+        instructions = steady.instructions;
+        context = core.saveContext();
+    }
+
+    /**
+     * Simulated MIPS of one run from the reset state; exits if the run
+     * does not reproduce the steady one.
+     */
+    double
+    timedMips()
+    {
+        reset(core);
+        double t0 = cpuSeconds();
         RunResult run = core.run(limit);
-        double secs = secondsSince(t0);
-        best = std::min(best, secs);
-        if (run.stop != r.stop || run.elapsed != r.elapsed ||
-            run.instructions != r.instructions) {
+        double secs = cpuSeconds() - t0;
+        if (run.stop != stop || run.elapsed != elapsed ||
+            run.instructions != instructions) {
             std::fprintf(stderr,
-                         "FAIL: %s rep %d not reproducible "
+                         "FAIL: %s run not reproducible "
                          "(instructions %llu vs %llu)\n",
-                         core.stats().name().c_str(), i,
+                         core.stats().name().c_str(),
                          (unsigned long long)run.instructions,
-                         (unsigned long long)r.instructions);
+                         (unsigned long long)instructions);
             std::exit(1);
         }
+        return (double)instructions / std::max(secs, 1e-9) / 1e6;
     }
-    r.mips = (double)r.instructions / best / 1e6;
-    return r;
+
+    bool
+    sameArchState(const LoopBench &o) const
+    {
+        return stop == o.stop && elapsed == o.elapsed &&
+               instructions == o.instructions && context == o.context;
+    }
+
+    LoopEnv env;
+    CoreT core;
+    std::function<void(CoreT &)> reset;
+    std::uint64_t limit;
+    Fault stop = Fault::none;
+    Tick elapsed = 0;
+    std::uint64_t instructions = 0;
+    std::vector<std::uint64_t> context;
+};
+
+/** Median and quartiles (linear interpolation) of a sample. */
+struct Spread
+{
+    double median = 0;
+    double q1 = 0;
+    double q3 = 0;
+};
+
+Spread
+spreadOf(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    auto at = [&](double q) {
+        double pos = q * (v.size() - 1);
+        std::size_t lo = static_cast<std::size_t>(pos);
+        std::size_t hi = std::min(lo + 1, v.size() - 1);
+        return v[lo] + (pos - lo) * (v[hi] - v[lo]);
+    };
+    return {at(0.5), at(0.25), at(0.75)};
+}
+
+/** One ISA's interleaved measurement. */
+struct Speedup
+{
+    Spread reference; //!< MIPS.
+    Spread cached;    //!< MIPS.
+    Spread ratio;     //!< Per-pair cached/reference.
+    int n = 0;        //!< Pairs.
+};
+
+/**
+ * Time @p reps reference/cached pairs back to back, flipping the order
+ * every pair, and summarise each side and the per-pair ratio.
+ */
+template <typename CoreT>
+Speedup
+timeInterleaved(LoopBench<CoreT> &ref, LoopBench<CoreT> &cached, int reps)
+{
+    std::vector<double> ref_mips, cached_mips, ratio;
+    for (int i = 0; i < reps; ++i) {
+        double r, c;
+        if (i % 2 == 0) {
+            r = ref.timedMips();
+            c = cached.timedMips();
+        } else {
+            c = cached.timedMips();
+            r = ref.timedMips();
+        }
+        ref_mips.push_back(r);
+        cached_mips.push_back(c);
+        ratio.push_back(c / r);
+    }
+    return {spreadOf(ref_mips), spreadOf(cached_mips), spreadOf(ratio),
+            reps};
 }
 
 /** addi t0, t0, 1; bne t0, t1, loop; ebreak. */
-LoopResult
-runRv64Loop(bool cached, std::uint64_t iters, int reps)
+LoopBench<Rv64Core>
+rv64Loop(bool cached, std::uint64_t iters)
 {
     using namespace rv64;
-    LoopEnv env;
-    std::uint32_t code[3] = {
+    static const std::uint32_t code[3] = {
         encI(opImm, 5, 0, 5, 1),
         encB(opBranch, 1, 5, 6, -4),
         0x00100073, // ebreak
     };
-    env.setCode(code, sizeof code);
-    Rv64Core core(coreParams("nxp", Requester::nxpCore, 200'000'000,
-                             cached),
-                  env.mem);
-    core.mmu().setCr3(env.cr3);
-    auto reset = [&](Rv64Core &c) {
-        c.setReg(5, 0);
-        c.setReg(6, iters);
-        c.setPc(LoopEnv::codeVa);
-    };
-    return timeLoop(core, reset, 2 * iters + 16, reps);
+    return LoopBench<Rv64Core>(
+        coreParams("nxp", Requester::nxpCore, 200'000'000, cached), code,
+        sizeof code,
+        [iters](Rv64Core &c) {
+            c.setReg(5, 0);
+            c.setReg(6, iters);
+            c.setPc(LoopEnv::codeVa);
+        },
+        2 * iters + 16);
 }
 
 /** add rax, 1; cmp rax, rcx; jne loop; halt. */
-LoopResult
-runHx64Loop(bool cached, std::uint64_t iters, int reps)
+LoopBench<Hx64Core>
+hx64Loop(bool cached, std::uint64_t iters)
 {
     using namespace hx64;
-    LoopEnv env;
-    std::uint8_t code[] = {
+    static const std::uint8_t code[] = {
         opAddI, 0x00, 0x01, 0x00, 0x00, 0x00, // add rax, 1
         opCmpRR, 0x01,                        // cmp rax, rcx
         opJcc, ccNe, 0xf2, 0xff, 0xff, 0xff,  // jne -14 -> loop
         opHalt,
     };
-    env.setCode(code, sizeof code);
-    Hx64Core core(coreParams("host", Requester::hostCore,
-                             2'400'000'000ull, cached),
-                  env.mem);
-    core.mmu().setCr3(env.cr3);
-    auto reset = [&](Hx64Core &c) {
-        c.setReg(rax, 0);
-        c.setReg(rcx, iters);
-        c.setPc(LoopEnv::codeVa);
-    };
-    return timeLoop(core, reset, 3 * iters + 16, reps);
+    return LoopBench<Hx64Core>(
+        coreParams("host", Requester::hostCore, 2'400'000'000ull, cached),
+        code, sizeof code,
+        [iters](Hx64Core &c) {
+            c.setReg(rax, 0);
+            c.setReg(rcx, iters);
+            c.setPc(LoopEnv::codeVa);
+        },
+        3 * iters + 16);
 }
 
-/** End-to-end fabric storm: wall-clock plus the simulated makespan. */
+/** End-to-end fabric storm: CPU time plus the simulated makespan. */
 struct FabricResult
 {
-    double wallSecs = 0;
+    double cpuSecs = 0;
     Tick makespan = 0;
     std::vector<std::uint64_t> values;
 };
@@ -233,7 +294,7 @@ runFabric(bool cached, unsigned devices, unsigned threads,
 
     FabricResult r;
     Tick start = sys.now();
-    auto t0 = std::chrono::steady_clock::now();
+    double t0 = cpuSeconds();
     for (unsigned b = 0; b < batches; ++b) {
         std::vector<CallFuture> futs;
         for (unsigned i = 0; i < threads; ++i) {
@@ -247,7 +308,7 @@ runFabric(bool cached, unsigned devices, unsigned threads,
         for (auto &f : futs)
             r.values.push_back(f.value());
     }
-    r.wallSecs = secondsSince(t0);
+    r.cpuSecs = cpuSeconds() - t0;
     r.makespan = sys.now() - start;
 
     for (unsigned b = 0; b < batches; ++b) {
@@ -278,7 +339,7 @@ main(int argc, char **argv)
             smoke = true;
 
     std::uint64_t iters = smoke ? 20'000 : 2'000'000;
-    int reps = smoke ? 1 : 3;
+    int reps = smoke ? 1 : 9;
     unsigned devices = smoke ? 4 : 8;
     unsigned threads = smoke ? 8 : 16;
     unsigned batches = 2;
@@ -290,24 +351,31 @@ main(int argc, char **argv)
     batches = (unsigned)flagValue(argc, argv, "batches", batches);
     rounds = flagValue(argc, argv, "rounds", rounds);
 
-    LoopResult rvRef = runRv64Loop(false, iters, reps);
-    LoopResult rvCached = runRv64Loop(true, iters, reps);
-    LoopResult hxRef = runHx64Loop(false, iters, reps);
-    LoopResult hxCached = runHx64Loop(true, iters, reps);
+    if (!smoke)
+        reps = std::max(reps, 7); // a median needs a sample to stand on
 
-    double rvX = rvCached.mips / rvRef.mips;
-    double hxX = hxCached.mips / hxRef.mips;
+    LoopBench<Rv64Core> rvRef = rv64Loop(false, iters);
+    LoopBench<Rv64Core> rvCached = rv64Loop(true, iters);
+    LoopBench<Hx64Core> hxRef = hx64Loop(false, iters);
+    LoopBench<Hx64Core> hxCached = hx64Loop(true, iters);
+    Speedup rv = timeInterleaved(rvRef, rvCached, reps);
+    Speedup hx = timeInterleaved(hxRef, hxCached, reps);
+
+    auto row = [](const char *isa, const Speedup &x, std::uint64_t insns) {
+        return std::vector<std::string>{
+            isa, strfmt("%.1f", x.reference.median),
+            strfmt("%.1f", x.cached.median), fmtX(x.ratio.median),
+            strfmt("[%.2f, %.2f]", x.ratio.q1, x.ratio.q3),
+            strfmt("%d", x.n), strfmt("%llu", (unsigned long long)insns)};
+    };
     printTable(
-        strfmt("Interpreter execute loop: simulated MIPS, %llu "
-               "iterations (best of %d)",
+        strfmt("Interpreter execute loop: simulated MIPS per CPU second, "
+               "%llu iterations (medians of %d interleaved pairs)",
                (unsigned long long)iters, reps),
-        {"ISA", "Reference", "Cached", "Speedup", "Insns"},
-        {{"rv64", strfmt("%.1f", rvRef.mips),
-          strfmt("%.1f", rvCached.mips), fmtX(rvX),
-          strfmt("%llu", (unsigned long long)rvCached.instructions)},
-         {"hx64", strfmt("%.1f", hxRef.mips),
-          strfmt("%.1f", hxCached.mips), fmtX(hxX),
-          strfmt("%llu", (unsigned long long)hxCached.instructions)}});
+        {"ISA", "Reference", "Cached", "Speedup", "Speedup IQR", "n",
+         "Insns"},
+        {row("rv64", rv, rvCached.instructions),
+         row("hx64", hx, hxCached.instructions)});
 
     bool ok = true;
     if (!rvCached.sameArchState(rvRef)) {
@@ -345,12 +413,12 @@ main(int argc, char **argv)
         strfmt("%u-device fabric storm: %u threads x %u batches of "
                "mix_hot(%llu)",
                devices, threads, batches, (unsigned long long)rounds),
-        {"Mode", "Wall", "Sim ticks"},
-        {{"reference", fmtSec(fabRef.wallSecs),
+        {"Mode", "CPU", "Sim ticks"},
+        {{"reference", fmtSec(fabRef.cpuSecs),
           strfmt("%llu", (unsigned long long)fabRef.makespan)},
-         {"cached", fmtSec(fabCached.wallSecs),
+         {"cached", fmtSec(fabCached.cpuSecs),
           strfmt("%llu", (unsigned long long)fabCached.makespan)},
-         {"speedup", fmtX(fabRef.wallSecs / fabCached.wallSecs), "-"}});
+         {"speedup", fmtX(fabRef.cpuSecs / fabCached.cpuSecs), "-"}});
 
     if (fabCached.makespan != fabRef.makespan) {
         std::fprintf(stderr,
@@ -366,19 +434,20 @@ main(int argc, char **argv)
         ok = false;
     }
 
-    // Wall-clock gates only run at full size; smoke runs are too
-    // short to time stably but still prove tick identity end to end.
+    // Speed gates only run at full size; smoke runs are too short to
+    // time stably but still prove tick identity end to end.
+    auto gate = [&ok](const char *isa, const Speedup &x) {
+        if (x.ratio.median >= 5.0)
+            return;
+        std::fprintf(stderr,
+                     "FAIL: %s decode cache speedup %.2fx < 5x (median of "
+                     "%d pairs, IQR [%.2f, %.2f])\n",
+                     isa, x.ratio.median, x.n, x.ratio.q1, x.ratio.q3);
+        ok = false;
+    };
     if (!smoke) {
-        if (rvX < 5.0) {
-            std::fprintf(stderr, "FAIL: rv64 decode cache speedup "
-                                 "%.2fx < 5x\n", rvX);
-            ok = false;
-        }
-        if (hxX < 5.0) {
-            std::fprintf(stderr, "FAIL: hx64 decode cache speedup "
-                                 "%.2fx < 5x\n", hxX);
-            ok = false;
-        }
+        gate("rv64", rv);
+        gate("hx64", hx);
     }
     return ok ? 0 : 1;
 }

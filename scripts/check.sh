@@ -172,7 +172,7 @@ cmake --build build-tsan -j "$jobs" \
     --target concurrent_call_test chaos_test callgraph_fuzz_test \
              device_fault_test trace_test policy_test fabric_scale_test \
              qos_test interp_diff_test isa_fuzz_test roundtrip_test \
-             residency_test spec_test
+             residency_test spec_test bench_interp
 ctest --test-dir build-tsan --output-on-failure -j "$jobs" -L concurrency
 ctest --test-dir build-tsan --output-on-failure -j "$jobs" -L chaos
 ctest --test-dir build-tsan --output-on-failure -j "$jobs" -L device_fault

@@ -16,6 +16,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "isa/icache.hh"
@@ -196,10 +197,15 @@ class Core
 
     /**
      * The run() loop, shared by both cores as a template so that each
-     * ISA's run() override calls its own step() statically — a virtual
-     * dispatch per simulated instruction costs measurable simulated
-     * MIPS (bench_interp). Derived classes befriend Core so the
-     * qualified CoreT::step() call reaches their protected override.
+     * ISA's run() override calls its own step() and dispatch()
+     * statically — a virtual dispatch per simulated instruction costs
+     * measurable simulated MIPS (bench_interp). Derived classes befriend
+     * Core so the qualified calls reach their private members.
+     *
+     * The first instruction fetched on a page goes through the full
+     * step(); runPage() then carries on within that page. With a trace
+     * hook installed every instruction goes through step(), which is
+     * also the per-instruction oracle the page loop is tested against.
      */
     template <typename CoreT>
     RunResult
@@ -208,47 +214,31 @@ class Core
         RunResult result;
         _slice = 0;
 
-        // Hook presence is sampled once per slice: the runtime and trace
-        // subsystems install hooks between run() slices, never from
-        // inside a handler, so the hookless loop — the simulation fast
-        // path — pays one trampoline compare per instruction.
-        if (_nativeHook || _traceHook) {
-            while (result.instructions < max_instructions) {
-                if (_pc == runtimeTrampoline) {
-                    result.stop = Fault::trampoline;
-                    break;
-                }
-                if (_nativeHook && _pc >= _nativeLo && _pc < _nativeHi) {
-                    // Native-bridge function: executed on the simulator
-                    // side; the hook consumes the call and emulates its
-                    // return.
-                    chargeTicks(_nativeHook(*this));
-                    ++result.instructions;
-                    continue;
-                }
-                if (_traceHook)
-                    _traceHook(_pc);
-                Fault f = self.CoreT::step();
-                if (f != Fault::none) {
-                    result.stop = f;
-                    result.faultVa = _faultVa;
-                    break;
-                }
-                ++result.instructions;
+        while (result.instructions < max_instructions) {
+            if (_pc == runtimeTrampoline) {
+                result.stop = Fault::trampoline;
+                break;
             }
-        } else {
-            while (result.instructions < max_instructions) {
-                if (_pc == runtimeTrampoline) {
-                    result.stop = Fault::trampoline;
-                    break;
-                }
-                Fault f = self.CoreT::step();
-                if (f != Fault::none) {
-                    result.stop = f;
-                    result.faultVa = _faultVa;
-                    break;
-                }
+            if (_nativeHook && _pc >= _nativeLo && _pc < _nativeHi) {
+                // Native-bridge function: executed on the simulator
+                // side; the hook consumes the call and emulates its
+                // return.
+                chargeTicks(_nativeHook(*this));
                 ++result.instructions;
+                continue;
+            }
+            if (_traceHook)
+                _traceHook(_pc);
+            Fault f = self.CoreT::step();
+            if (f == Fault::none) {
+                ++result.instructions;
+                if (!_traceHook)
+                    f = runPage<CoreT>(result, max_instructions);
+            }
+            if (f != Fault::none) {
+                result.stop = f;
+                result.faultVa = _faultVa;
+                break;
             }
         }
 
@@ -257,6 +247,82 @@ class Core
         syncDecodeStats();
         result.elapsed = _slice;
         return result;
+    }
+
+    /**
+     * Page-local dispatch (DESIGN.md §13). While the PC stays on the
+     * 4 KiB virtual page of the current ITLB last-hit entry and its
+     * decode slot is filled, dispatch straight off the page's entry
+     * array, applying the exact effects of the fetches it skips: each
+     * one is an ITLB last hit (same page, same live entry, permission
+     * already checked), and an I-cache hit unless its line differs from
+     * the previous fetch's, which gets a real access(). Hits are
+     * credited in bulk on exit; decode hits and cycles stay per
+     * instruction, inside dispatch(). Returns a handler's fault, or
+     * Fault::none to fall back to step() — on an empty slot (e.g.
+     * cleared by a self-modifying store), a PC off the page or
+     * misaligned, or max_instructions.
+     */
+    template <typename CoreT>
+    Fault
+    runPage(RunResult &result, std::uint64_t max_instructions)
+    {
+        // Reach the ISA core through `this`, not a separate reference,
+        // so the compiler keeps one object pointer live in the loop.
+        CoreT &self = static_cast<CoreT &>(*this);
+        auto *cache = self.decodeCache();
+        Addr page_pa = 0;
+        const TlbEntry *e = cache ? _mmu.fetchPage(_pc, page_pa) : nullptr;
+        if (!e)
+            return Fault::none;
+        const VAddr page = _pc & ~VAddr(4095);
+        // The trampoline and native-gate checks are per fetch; pages
+        // holding either take the per-instruction loop instead.
+        if ((runtimeTrampoline & ~VAddr(4095)) == page ||
+            (_nativeLo < page + 4096 && page < _nativeHi))
+            return Fault::none;
+        auto *base = slotFor(*cache, page_pa);
+        if (!base)
+            return Fault::none;
+
+        using CacheT = std::remove_pointer_t<decltype(cache)>;
+        constexpr VAddr misaligned = (VAddr(1) << CacheT::shift) - 1;
+        Tlb &itlb = _mmu.itlb();
+        // Lines are tracked by page offset: page_pa is 4 KiB aligned, so
+        // two offsets share a line exactly when their pa's do. Without
+        // an I-cache the zero mask never sees a line change.
+        ICache *icache = _icache.get();
+        const VAddr line_mask = icache ? ~VAddr(icache->lineBytes() - 1) : 0;
+        VAddr line = icache ? ~VAddr(0) : 0; // first fetch: real access
+        std::uint64_t line_changes = 0;
+        std::uint64_t left = max_instructions - result.instructions;
+        Fault f = Fault::none;
+        for (; left != 0; --left) {
+            VAddr off = _pc - page;
+            if (off >= 4096 || (off & misaligned))
+                break;
+            const auto &d = base[off >> CacheT::shift];
+            if (!d.fn || !itlb.isLastHit(e))
+                break;
+            if ((off & line_mask) != line) {
+                line = off & line_mask;
+                ++line_changes;
+                if (!icache->access(page_pa + off))
+                    fetchLineFill(page_pa + off);
+            }
+            f = self.CoreT::dispatch(d, page + off);
+            if (f != Fault::none)
+                break;
+        }
+        std::uint64_t retired =
+            max_instructions - result.instructions - left;
+        result.instructions += retired;
+        // A faulting instruction was fetched but did not retire.
+        std::uint64_t fetches = retired + (f != Fault::none);
+        itlb.creditLastHits(e, fetches);
+        if (icache)
+            icache->creditHits(fetches - line_changes);
+        return f;
     }
 
     /** Charge @p n core cycles to the current slice. */

@@ -383,7 +383,7 @@ Hx64Core::Hx64Core(const CoreParams &params, MemSystem &mem)
 {
     _regs.fill(0);
     if (params.decodeCache) {
-        _dcache = std::make_unique<DecodeCache<Hx64Decoded, 0>>();
+        _dcache = std::make_unique<DecodeCacheT>();
         mem.addDecodeSink(_dcache.get());
         setDecodeCacheStats(_dcache.get());
     }
@@ -605,17 +605,8 @@ Hx64Core::step()
     Hx64Decoded *slot = nullptr;
     if (_dcache) {
         slot = slotFor(*_dcache, pa);
-        if (slot && slot->fn) {
-            // Dispatch straight off the cache line — no defensive copy.
-            // Handlers read every decoded field before any memory write
-            // (see Hx64Handlers), so a store that invalidates its own
-            // page cannot clobber fields the dispatch still needs.
-            ++_dcache->hits;
-            const Hx64Decoded &hit = *slot;
-            if (hit.len != 0)
-                chargeCycles(1);
-            return hit.fn(*this, hit, pc_va);
-        }
+        if (slot && slot->fn)
+            return dispatch(*slot, pc_va);
     }
 
     Hx64Decoded d;

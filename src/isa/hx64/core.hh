@@ -62,7 +62,7 @@ class Hx64Core : public Core
     Fault step() override;
 
   private:
-    friend class Core; // runLoop() calls step() statically.
+    friend class Core; // runLoop() calls step()/dispatch() statically.
     friend struct Hx64Handlers;
 
     /**
@@ -78,6 +78,28 @@ class Hx64Core : public Core
     /** Handler implementing @p opcode (the illegal handler if invalid). */
     static Hx64Handler handlerFor(std::uint8_t opcode);
 
+    using DecodeCacheT = DecodeCache<Hx64Decoded, 0>;
+
+    /** The decode cache, or nullptr on the reference path. */
+    DecodeCacheT *decodeCache() { return _dcache.get(); }
+
+    /**
+     * Run the filled decode-cache entry @p d at @p pc_va: count the hit,
+     * charge the cycle (not for invalid opcodes, len 0), call the
+     * handler. Dispatch reads straight off the cache line — no
+     * defensive copy; handlers read every decoded field before any
+     * memory write (see Hx64Handlers), so a store that invalidates its
+     * own page cannot clobber fields the dispatch still needs.
+     */
+    Fault
+    dispatch(const Hx64Decoded &d, VAddr pc_va)
+    {
+        ++_dcache->hits;
+        if (d.len != 0)
+            chargeCycles(1);
+        return d.fn(*this, d, pc_va);
+    }
+
     /** Untimed stack access through the MMU (runtime bookkeeping). */
     std::uint64_t debugReadVa(VAddr va);
     void debugWriteVa(VAddr va, std::uint64_t v);
@@ -89,7 +111,7 @@ class Hx64Core : public Core
     std::uint64_t _cmpA = 0;
     std::uint64_t _cmpB = 0;
     /** Null when CoreParams::decodeCache is off (reference decode). */
-    std::unique_ptr<DecodeCache<Hx64Decoded, 0>> _dcache;
+    std::unique_ptr<DecodeCacheT> _dcache;
 };
 
 } // namespace flick

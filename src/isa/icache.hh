@@ -75,6 +75,19 @@ class ICache
         return false;
     }
 
+    /**
+     * Bulk form of @p n access() calls that hit: only the hit count
+     * changes. Page-local dispatch (DESIGN.md §13) credits fetches of
+     * the line it last accessed here — the cache is direct-mapped and
+     * only fetch touches it, so that line is still resident.
+     */
+    void
+    creditHits(std::uint64_t n)
+    {
+        if (_enabled)
+            _hits += n;
+    }
+
     /** Invalidate all lines (counts nothing when disabled). */
     void
     flush()

@@ -505,7 +505,7 @@ Rv64Core::Rv64Core(const CoreParams &params, MemSystem &mem)
 {
     _regs.fill(0);
     if (params.decodeCache) {
-        _dcache = std::make_unique<DecodeCache<Rv64Decoded, 2>>();
+        _dcache = std::make_unique<DecodeCacheT>();
         mem.addDecodeSink(_dcache.get());
         setDecodeCacheStats(_dcache.get());
     }
@@ -649,15 +649,8 @@ Rv64Core::step()
     Rv64Decoded *slot = nullptr;
     if (_dcache) {
         slot = slotFor(*_dcache, pa);
-        if (slot && slot->fn) {
-            // Dispatch straight off the cache line — no defensive copy.
-            // Handlers read every decoded field before any memory write
-            // (see Rv64Handlers), so a store that invalidates its own
-            // page cannot clobber fields the dispatch still needs.
-            ++_dcache->hits;
-            chargeCycles(1);
-            return slot->fn(*this, *slot);
-        }
+        if (slot && slot->fn)
+            return dispatch(*slot, pc_va);
     }
 
     Rv64Decoded d;

@@ -71,15 +71,36 @@ class Rv64Core : public Core
     Fault step() override;
 
   private:
-    friend class Core; // runLoop() calls step() statically.
+    friend class Core; // runLoop() calls step()/dispatch() statically.
     friend struct Rv64Handlers;
 
     /** Handler implementing @p op. */
     static Rv64Handler handlerFor(Rv64Op op);
 
+    using DecodeCacheT = DecodeCache<Rv64Decoded, 2>;
+
+    /** The decode cache, or nullptr on the reference path. */
+    DecodeCacheT *decodeCache() { return _dcache.get(); }
+
+    /**
+     * Run the filled decode-cache entry @p d at the current PC: count
+     * the hit, charge the cycle, call the handler. Dispatch reads
+     * straight off the cache line — no defensive copy; handlers read
+     * every decoded field before any memory write (see Rv64Handlers),
+     * so a store that invalidates its own page cannot clobber fields
+     * the dispatch still needs.
+     */
+    Fault
+    dispatch(const Rv64Decoded &d, VAddr)
+    {
+        ++_dcache->hits;
+        chargeCycles(1);
+        return d.fn(*this, d);
+    }
+
     std::array<std::uint64_t, 32> _regs;
     /** Null when CoreParams::decodeCache is off (reference decode). */
-    std::unique_ptr<DecodeCache<Rv64Decoded, 2>> _dcache;
+    std::unique_ptr<DecodeCacheT> _dcache;
 };
 
 } // namespace flick

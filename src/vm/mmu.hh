@@ -144,6 +144,31 @@ class Mmu
         return translateSlow(va, type);
     }
 
+    /**
+     * Page-local dispatch probe (DESIGN.md §13): when a fetch of @p va
+     * would resolve on translate()'s last-hit fast path and pass its
+     * permission check, return that ITLB entry and set @p page_pa to
+     * the post-remap physical base of va's 4 KiB page — every fetch on
+     * the page then translates to page_pa + offset, exactly as
+     * translate() would. nullptr otherwise. Touches no LRU or stat
+     * state; the caller credits the hits (Tlb::creditLastHits).
+     */
+    const TlbEntry *
+    fetchPage(VAddr va, Addr &page_pa) const
+    {
+        if (!_holes.empty())
+            return nullptr;
+        const TlbEntry *e = _itlb.peekLastHit(va);
+        if (!e || permissionCheck(e->flags, AccessType::fetch) != Fault::none)
+            return nullptr;
+        VAddr page = va & ~VAddr(4095);
+        Addr raw = e->pbase + (page - e->vbase);
+        if (!_itlb.remapUniform(raw))
+            return nullptr;
+        page_pa = _itlb.applyRemap(raw);
+        return e;
+    }
+
     Tlb &itlb() { return _itlb; }
     Tlb &dtlb() { return _dtlb; }
     PageTableWalker &walker() { return _walker; }

@@ -72,13 +72,42 @@ class Tlb
     const TlbEntry *
     lookupLastHit(VAddr va)
     {
-        if (_last && _last->valid && va >= _last->vbase &&
-            va < _last->vbase + _last->granule) {
-            _last->lastUse = ++_useClock;
-            ++_hits;
-            return _last;
-        }
-        return nullptr;
+        if (!peekLastHit(va))
+            return nullptr;
+        _last->lastUse = ++_useClock;
+        ++_hits;
+        return _last;
+    }
+
+    /**
+     * The entry lookupLastHit(@p va) would return, without touching LRU
+     * state or statistics.
+     */
+    const TlbEntry *
+    peekLastHit(VAddr va) const
+    {
+        bool covers = _last && _last->valid && va >= _last->vbase &&
+                      va < _last->vbase + _last->granule;
+        return covers ? _last : nullptr;
+    }
+
+    /** Whether @p e is still the last-hit entry (invalidation unsets it). */
+    bool isLastHit(const TlbEntry *e) const { return _last == e; }
+
+    /**
+     * Bulk form of lookupLastHit(): leaves exactly the state @p n
+     * successive hits on @p e would — the LRU clock, e's stamp and the
+     * hit count. Page-local dispatch (DESIGN.md §13) credits a run of
+     * same-page fetches here instead of looking each one up.
+     */
+    void
+    creditLastHits(const TlbEntry *e, std::uint64_t n)
+    {
+        if (n == 0)
+            return;
+        _useClock += n;
+        _slots[e - _slots.data()].lastUse = _useClock;
+        _hits += n;
     }
 
     /**
@@ -120,6 +149,22 @@ class Tlb
             return pa - _remapOffset;
         }
         return pa;
+    }
+
+    /**
+     * Whether the 4 KiB page at @p page lies wholly inside or wholly
+     * outside the remap window, so applyRemap() shifts every byte of it
+     * by the same amount.
+     */
+    bool
+    remapUniform(Addr page) const
+    {
+        if (_remapSize == 0)
+            return true;
+        Addr end = page + 4096;
+        Addr remap_end = _remapBase + _remapSize;
+        return end <= _remapBase || page >= remap_end ||
+               (page >= _remapBase && end <= remap_end);
     }
 
     /**

@@ -509,6 +509,172 @@ TEST(DecodeCacheCoherence, Rv64SelfModifyingCodeObservedByCachedCore)
     EXPECT_EQ(insC, insR);
 }
 
+// --- RV64 self-modifying code under page-local dispatch -------------------
+//
+// The page loop (DESIGN.md §13) keeps dispatching off a text page's entry
+// array until a slot reads empty. A store to the executing page clears
+// that array in place, so the loop must drop back to step() at exactly
+// the rewritten instruction. Each program below runs its loop twice: the
+// first pass executes (and caches) every instruction, the second pass
+// rewrites `addi t2, x0, 111` into `addi t2, x0, 222` at a different
+// distance from the store, then accumulates t2 into t3. Stale text would
+// leave t3 = 222 instead of 333.
+
+/** What one run of an RV64 self-modifying program leaves behind. */
+struct SmcRun
+{
+    Fault stop = Fault::none;
+    std::uint64_t t3 = 0;
+    Tick elapsed = 0;
+    std::uint64_t instructions = 0;
+    std::vector<std::uint64_t> context;
+    std::vector<std::uint64_t> fetch;  //!< ITLB and I-cache counters.
+    std::vector<std::uint64_t> decode; //!< Decode-cache counters.
+};
+
+/**
+ * Run @p program on a fresh writable-text environment with the NxP's
+ * I-cache modelled: @p cached selects the decode cache, @p traced
+ * installs a no-op trace hook (every instruction through step()).
+ */
+SmcRun
+runRv64Smc(const std::vector<std::uint32_t> &program, bool cached,
+           bool traced)
+{
+    CoherenceEnv env(true);
+    env.setCode(env.text_pa, program.data(), program.size() * 4);
+    CoreParams params =
+        coherenceParams("nxp", Requester::nxpCore, 200'000'000, cached);
+    params.modelIcache = true;
+    params.icacheLines = 4;
+    params.icacheLineBytes = 16;
+    Rv64Core core(params, env.mem);
+    core.mmu().setCr3(env.cr3);
+    if (traced)
+        core.setTraceHook([](VAddr) {});
+    core.setReg(21, CoherenceEnv::codeVa); // s5 = text base
+    core.setPc(CoherenceEnv::codeVa);
+    RunResult r = core.run(500);
+
+    SmcRun run;
+    run.stop = r.stop;
+    run.t3 = core.reg(28);
+    run.elapsed = r.elapsed;
+    run.instructions = r.instructions;
+    run.context = core.saveContext();
+    Tlb &itlb = core.mmu().itlb();
+    StatGroup &icache = core.icache()->stats();
+    for (const char *key : {"hits", "misses", "fills"})
+        run.fetch.push_back(itlb.stats().get(key));
+    for (const char *key : {"hits", "misses"})
+        run.fetch.push_back(icache.get(key));
+    for (const char *key :
+         {"decode_cache_hits", "decode_cache_fills",
+          "decode_cache_fallbacks", "decode_cache_invalidated_pages"}) {
+        run.decode.push_back(core.stats().get(key));
+    }
+    return run;
+}
+
+/**
+ * The page loop, the per-step cached oracle and the reference path must
+ * all halt with t3 == 333 at the same tick, with identical state and
+ * fetch counters; the two cached runs must also agree on every decode
+ * counter and must have dropped the rewritten page.
+ */
+void
+expectRv64SmcExact(const std::vector<std::uint32_t> &program)
+{
+    SmcRun page = runRv64Smc(program, true, false);
+    SmcRun step = runRv64Smc(program, true, true);
+    SmcRun ref = runRv64Smc(program, false, false);
+    EXPECT_EQ(page.stop, Fault::halt);
+    EXPECT_EQ(page.t3, 333u) << "page loop executed stale text";
+    for (const SmcRun *other : {&step, &ref}) {
+        const char *what = other == &step ? "per-step" : "reference";
+        EXPECT_EQ(other->stop, page.stop) << what;
+        EXPECT_EQ(other->t3, page.t3) << what;
+        EXPECT_EQ(other->elapsed, page.elapsed) << what;
+        EXPECT_EQ(other->instructions, page.instructions) << what;
+        EXPECT_EQ(other->context, page.context) << what;
+        EXPECT_EQ(other->fetch, page.fetch) << what;
+    }
+    EXPECT_EQ(step.decode, page.decode);
+    EXPECT_GE(page.decode[3], 1u) << "no page was invalidated";
+}
+
+/** lui/addi pair loading `addi t2, x0, 222` into t4. */
+std::vector<std::uint32_t>
+loadPatchedInsn()
+{
+    using namespace rv64;
+    std::uint32_t patched = encI(opImm, 7, 0, 0, 222);
+    std::uint32_t hi = (patched + 0x800) >> 12;
+    std::int64_t lo = sext(patched & 0xfff, 12);
+    return {encU(opLui, 29, hi), encI(opImm, 29, 0, 29, lo)};
+}
+
+TEST(DecodeCacheCoherence, Rv64StoreRewritesNextInstruction)
+{
+    using namespace rv64;
+    std::vector<std::uint32_t> p = loadPatchedInsn(); // 0, 4
+    p.insert(p.end(), {
+        encI(opImm, 5, 0, 0, 0),        //  8: addi t0, x0, 0
+        encB(opBranch, 0, 5, 0, 8),     // 12: loop: beq t0, x0, +8
+        encS(opStore, 2, 21, 29, 20),   // 16: sw t4, 20(s5)
+        encI(opImm, 7, 0, 0, 111),      // 20: addi t2, x0, 111
+        encR(opReg, 28, 0, 28, 7, 0),   // 24: add t3, t3, t2
+        encI(opImm, 5, 0, 5, 1),        // 28: addi t0, t0, 1
+        encI(opImm, 31, 0, 0, 2),       // 32: addi t6, x0, 2
+        encB(opBranch, 1, 5, 31, -24),  // 36: bne t0, t6, loop
+        0x00100073,                     // 40: ebreak
+    });
+    expectRv64SmcExact(p);
+}
+
+TEST(DecodeCacheCoherence, Rv64StoreRewritesLaterInstructionOnPage)
+{
+    using namespace rv64;
+    std::vector<std::uint32_t> p = loadPatchedInsn(); // 0, 4
+    p.insert(p.end(), {
+        encI(opImm, 5, 0, 0, 0),        //  8: addi t0, x0, 0
+        encB(opBranch, 0, 5, 0, 8),     // 12: loop: beq t0, x0, +8
+        encS(opStore, 2, 21, 29, 52),   // 16: sw t4, 52(s5)
+        encI(opImm, 6, 0, 6, 1),        // 20: addi t1, t1, 1 (x8)
+        encI(opImm, 6, 0, 6, 1),        // 24
+        encI(opImm, 6, 0, 6, 1),        // 28
+        encI(opImm, 6, 0, 6, 1),        // 32
+        encI(opImm, 6, 0, 6, 1),        // 36
+        encI(opImm, 6, 0, 6, 1),        // 40
+        encI(opImm, 6, 0, 6, 1),        // 44
+        encI(opImm, 6, 0, 6, 1),        // 48
+        encI(opImm, 7, 0, 0, 111),      // 52: addi t2, x0, 111
+        encR(opReg, 28, 0, 28, 7, 0),   // 56: add t3, t3, t2
+        encI(opImm, 5, 0, 5, 1),        // 60: addi t0, t0, 1
+        encI(opImm, 31, 0, 0, 2),       // 64: addi t6, x0, 2
+        encB(opBranch, 1, 5, 31, -56),  // 68: bne t0, t6, loop
+        0x00100073,                     // 72: ebreak
+    });
+    expectRv64SmcExact(p);
+}
+
+TEST(DecodeCacheCoherence, Rv64BranchBackOntoRewrittenSlot)
+{
+    using namespace rv64;
+    std::vector<std::uint32_t> p = loadPatchedInsn(); // 0, 4
+    p.insert(p.end(), {
+        encI(opImm, 5, 0, 0, 0),        //  8: addi t0, x0, 0
+        encI(opImm, 7, 0, 0, 111),      // 12: loop: addi t2, x0, 111
+        encR(opReg, 28, 0, 28, 7, 0),   // 16: add t3, t3, t2
+        encS(opStore, 2, 21, 29, 12),   // 20: sw t4, 12(s5)
+        encI(opImm, 5, 0, 5, 1),        // 24: addi t0, t0, 1
+        encI(opImm, 31, 0, 0, 2),       // 28: addi t6, x0, 2
+        encB(opBranch, 1, 5, 31, -20),  // 32: bne t0, t6, loop
+        0x00100073,                     // 36: ebreak
+    });
+    expectRv64SmcExact(p);
+}
+
 TEST(DecodeCacheCoherence, CrossCoreWriteInvalidatesOtherCoresCachedPage)
 {
     using namespace hx64;
