@@ -161,7 +161,7 @@ struct LoopBench
     Fault stop = Fault::none;
     Tick elapsed = 0;
     std::uint64_t instructions = 0;
-    std::vector<std::uint64_t> context;
+    CoreContext context;
 };
 
 /** Median and quartiles (linear interpolation) of a sample. */
@@ -414,9 +414,9 @@ main(int argc, char **argv)
                "mix_hot(%llu)",
                devices, threads, batches, (unsigned long long)rounds),
         {"Mode", "CPU", "Sim ticks"},
-        {{"reference", fmtSec(fabRef.cpuSecs),
+        {{"reference", fmtMs(fabRef.cpuSecs),
           strfmt("%llu", (unsigned long long)fabRef.makespan)},
-         {"cached", fmtSec(fabCached.cpuSecs),
+         {"cached", fmtMs(fabCached.cpuSecs),
           strfmt("%llu", (unsigned long long)fabCached.makespan)},
          {"speedup", fmtX(fabRef.cpuSecs / fabCached.cpuSecs), "-"}});
 

@@ -182,9 +182,7 @@ runPolicy(PlacementKind kind, const Params &p)
     PolicyResult r;
     double secs = ticksToUs(makespan) * 1e-6;
     r.callsPerSec = (double)(p.batches * p.threads) / secs;
-    std::sort(latencies.begin(), latencies.end());
-    r.p99Us = latencies[std::min(latencies.size() - 1,
-                                 (latencies.size() * 99 + 99) / 100 - 1)];
+    r.p99Us = p99(std::move(latencies));
     const StatGroup &st = sys.debug().engine().stats();
     for (unsigned d = 0; d < p.devices; ++d)
         r.devCalls.push_back(

@@ -94,16 +94,6 @@ struct TaggedArrival
     std::uint64_t seq = 0;
 };
 
-double
-p99Of(std::vector<double> lat)
-{
-    if (lat.empty())
-        return 0;
-    std::sort(lat.begin(), lat.end());
-    return lat[std::min(lat.size() - 1,
-                        (lat.size() * 99 + 99) / 100 - 1)];
-}
-
 /** Service-view p99 (callEntry -> completion) from the tracer. */
 double
 tracerP99(FlickSystem &sys)
@@ -114,7 +104,7 @@ tracerP99(FlickSystem &sys)
         if (c.end && !c.failed)
             lat.push_back(ticksToUs(c.end - c.start));
     }
-    return p99Of(std::move(lat));
+    return p99(std::move(lat));
 }
 
 class OpenLoopDriver
@@ -319,7 +309,7 @@ runPoint(const Params &p, double rate_per_sec, Tick slo, bool qos_on,
 
     double secs = ticksToUs(lg.horizon) * 1e-6;
     r.goodputPerSec = (double)r.tenant.okWithinSlo / secs;
-    r.p99Us = p99Of(r.tenant.latUs);
+    r.p99Us = p99(r.tenant.latUs);
     r.tracerP99Us = tracerP99(sys);
     const StatGroup &st = sys.debug().engine().stats();
     r.shedQueueFull = st.get("qos.shed.queue_full");
@@ -390,8 +380,8 @@ runNeighbor(const Params &p, double capacity, Tick slo, bool qos_on,
     r.b.proc = &procB;
     OpenLoopDriver driver(sys, p, slo);
     driver.run({&r.a, &r.b}, arrivals);
-    r.aP99Us = p99Of(r.a.latUs);
-    r.bP99Us = p99Of(r.b.latUs);
+    r.aP99Us = p99(r.a.latUs);
+    r.bP99Us = p99(r.b.latUs);
     const StatGroup &st = sys.debug().engine().stats();
     r.aShedStat = st.get("qos.shed_cr3#0");
     r.bShedStat = st.get("qos.shed_cr3#1");

@@ -159,15 +159,6 @@ struct StormResult
     bool specSilent = false; //!< Dump had zero flick.spec.* lines.
 };
 
-double
-p99Of(std::vector<double> v)
-{
-    if (v.empty())
-        return 0;
-    std::sort(v.begin(), v.end());
-    return v[std::min(v.size() - 1, (v.size() * 99 + 99) / 100 - 1)];
-}
-
 /** Run one seeded break-even storm, speculation on or off. */
 StormResult
 runStorm(const Params &p, const Oracle &o, bool spec_on,
@@ -198,7 +189,7 @@ runStorm(const Params &p, const Oracle &o, bool spec_on,
     }
     r.wallTicks = s.sys->now() - t0;
     r.meanPenalty = sum / (double)p.calls;
-    r.p99Penalty = p99Of(r.penaltyUs);
+    r.p99Penalty = p99(r.penaltyUs);
     const StatGroup &st = s.sys->debug().engine().stats();
     r.launched = st.get("spec.launched");
     r.committedHost = st.get("spec.committed_host");
@@ -309,8 +300,8 @@ main(int argc, char **argv)
          "commit h/n", "wasted"},
         srows);
 
-    double onP99 = p99Of(onAll);
-    double offP99 = p99Of(offAll);
+    double onP99 = p99(onAll);
+    double offP99 = p99(offAll);
     double onMean = onMeanSum / (double)p.seeds;
     double offMean = offMeanSum / (double)p.seeds;
     double wastedRatio = wastedRatioSum / (double)p.seeds;

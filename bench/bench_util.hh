@@ -12,6 +12,7 @@
 #ifndef FLICK_BENCH_BENCH_UTIL_HH
 #define FLICK_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -69,6 +70,15 @@ fmtSec(double s)
     return buf;
 }
 
+/** Format seconds as milliseconds with one decimal. */
+inline std::string
+fmtMs(double s)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.1fms", s * 1e3);
+    return buf;
+}
+
 /** Format a ratio like "2.6x". */
 inline std::string
 fmtX(double x)
@@ -76,6 +86,19 @@ fmtX(double x)
     char buf[64];
     std::snprintf(buf, sizeof buf, "%.2fx", x);
     return buf;
+}
+
+/**
+ * Nearest-rank 99th percentile of @p v: the smallest sample with at
+ * least 99% of the samples at or below it. 0 for no samples.
+ */
+inline double
+p99(std::vector<double> v)
+{
+    if (v.empty())
+        return 0;
+    std::sort(v.begin(), v.end());
+    return v[std::min(v.size() - 1, (v.size() * 99 + 99) / 100 - 1)];
 }
 
 /**

@@ -14,7 +14,6 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "mem/sparse_memory.hh"
 #include "vm/pte.hh"
@@ -35,9 +34,22 @@ enum class DescriptorKind : std::uint32_t
 /**
  * CRC-64/ECMA-182 of @p len bytes at @p p: polynomial
  * 0x42f0e1eba9ea3693, MSB first, init 0, no final xor. The descriptor
- * checksum; table-driven (slice-by-8).
+ * checksum. Runs crc64Clmul() when the host CPU has PCLMULQDQ (checked
+ * once at startup), crc64Table() otherwise.
  */
 std::uint64_t crc64(const std::uint8_t *p, std::uint64_t len);
+
+/** The portable slice-by-8 table kernel; the reference for any
+ *  accelerated kernel. */
+std::uint64_t crc64Table(const std::uint8_t *p, std::uint64_t len);
+
+#if defined(__x86_64__)
+/** Can the host CPU run crc64Clmul() (PCLMULQDQ and SSSE3)? */
+bool crc64ClmulSupported();
+
+/** Carry-less-multiply folding kernel; requires crc64ClmulSupported(). */
+std::uint64_t crc64Clmul(const std::uint8_t *p, std::uint64_t len);
+#endif
 
 /** Printable descriptor-kind name, for diagnostics. */
 const char *descriptorKindName(DescriptorKind kind);
@@ -79,14 +91,6 @@ struct MigrationDescriptor
      * match the PID's current in-flight call.
      */
     std::uint64_t callId = 0;
-
-    /** The argument array as a vector (ABI handoff convenience). */
-    std::vector<std::uint64_t>
-    argVector() const
-    {
-        return std::vector<std::uint64_t>(args.begin(),
-                                          args.begin() + nargs);
-    }
 
     /**
      * Serialize to the 128-byte wire format (little endian), computing

@@ -320,19 +320,11 @@ MigrationEngine::currentNxpSp(const Task &task, unsigned device) const
 }
 
 void
-MigrationEngine::ensureNxpStack(Task &task, unsigned device, Cont then)
+MigrationEngine::allocateNxpStack(Task &task, unsigned device)
 {
-    if (task.nxpStackTop[device] != 0) {
-        then();
-        return;
-    }
     VAddr stack_base = side(device).stackHeap->allocate(_nxpStackBytes, 16);
     task.nxpStackTop[device] = stack_base + _nxpStackBytes;
     task.nxpStackBytes = _nxpStackBytes;
-    after(_timing.nxpStackAllocate, [this, then] {
-        _stats.inc("nxp_stacks_allocated");
-        then();
-    });
 }
 
 void
@@ -363,6 +355,9 @@ MigrationEngine::submit(Task &task, VAddr entry,
     }
     if (_exec.count(task.pid))
         panic("task %d already has a call in flight", task.pid);
+    if (args.size() > MigrationDescriptor::maxArgs)
+        panic("submit with %zu args (max %u)", args.size(),
+              MigrationDescriptor::maxArgs);
     if (_qos.enabled && _qosQueuedPid.count(task.pid))
         panic("task %d already has a call queued", task.pid);
 
@@ -422,7 +417,8 @@ MigrationEngine::submit(Task &task, VAddr entry,
         QosPending p;
         p.task = &task;
         p.entry = entry;
-        p.args = args;
+        p.nargs = static_cast<std::uint32_t>(args.size());
+        std::copy(args.begin(), args.end(), p.args.begin());
         p.stackTop = stack_top;
         p.placementHint = opts.placementHint;
         p.absDeadline = abs_deadline;
@@ -462,7 +458,7 @@ MigrationEngine::shedFuture(Task &task, ShedReason reason)
 
 CallFuture
 MigrationEngine::admitCall(Task &task, VAddr entry,
-                           const std::vector<std::uint64_t> &args,
+                           std::span<const std::uint64_t> args,
                            VAddr stack_top, Tick abs_deadline,
                            int placement_hint,
                            std::shared_ptr<CallFutureState> state)
@@ -476,7 +472,8 @@ MigrationEngine::admitCall(Task &task, VAddr entry,
     x.future = state;
     x.id = ++_nextExecId;
     x.entry = entry;
-    x.args = args;
+    x.nargs = static_cast<std::uint32_t>(args.size());
+    std::copy(args.begin(), args.end(), x.args.begin());
     x.stackTop = stack_top;
     x.placementHint = placement_hint;
     x.deadline = abs_deadline;
@@ -487,7 +484,7 @@ MigrationEngine::admitCall(Task &task, VAddr entry,
         _tenants.onAdmit(x.tenant);
     }
     bool deadlined = x.deadline != 0;
-    _exec.emplace(task.pid, std::move(x));
+    insertExec(task.pid, std::move(x));
     _callsSubmitted.inc();
     traceGauge(TraceGauge::inFlightCalls, 0, _exec.size());
     // The watchdog only exists when something can actually go wrong
@@ -562,7 +559,7 @@ MigrationEngine::admissionEstimate(Addr cr3, VAddr entry,
 
 int
 MigrationEngine::residencyMajorityDevice(
-    Task &task, const std::vector<std::uint64_t> &args)
+    Task &task, std::span<const std::uint64_t> args)
 {
     if (!_residency)
         return -1;
@@ -657,14 +654,14 @@ MigrationEngine::pumpQosQueues()
         // majority holder of the argument pages at dequeue time and
         // re-point the hint when the data clearly lives elsewhere now.
         if (_residency && p.placementHint >= 0) {
-            int holder = residencyMajorityDevice(*p.task, p.args);
+            int holder = residencyMajorityDevice(*p.task, argsOf(p));
             if (holder >= 0 && holder != p.placementHint) {
                 protoStat("qos.hint_revotes",
                           static_cast<unsigned>(holder));
                 p.placementHint = holder;
             }
         }
-        admitCall(*p.task, p.entry, p.args, p.stackTop, p.absDeadline,
+        admitCall(*p.task, p.entry, argsOf(p), p.stackTop, p.absDeadline,
                   p.placementHint, std::move(p.future));
     }
 }
@@ -699,6 +696,30 @@ MigrationEngine::runHostFunction(Task &task, VAddr entry,
                                  VAddr stack_top)
 {
     return submit(task, entry, args, stack_top).wait();
+}
+
+void
+MigrationEngine::insertExec(int pid, TaskExec &&x)
+{
+    if (_spareExecs.empty()) {
+        _exec.emplace(pid, std::move(x));
+        return;
+    }
+    auto node = std::move(_spareExecs.back());
+    _spareExecs.pop_back();
+    node.key() = pid;
+    x.frames = std::move(node.mapped().frames); // empty, capacity kept
+    node.mapped() = std::move(x);
+    _exec.insert(std::move(node));
+}
+
+void
+MigrationEngine::retireExec(int pid)
+{
+    auto node = _exec.extract(pid);
+    node.mapped().future.reset();
+    node.mapped().frames.clear();
+    _spareExecs.push_back(std::move(node));
 }
 
 // --- Host-core scheduling ------------------------------------------------
@@ -753,7 +774,7 @@ MigrationEngine::startEntry(TaskExec &x)
     _hostCore.mmu().setCr3(task.cr3);
     _hostLoadedCr3 = task.cr3;
     _hostCore.setStackPointer(x.stackTop & ~std::uint64_t(15));
-    _hostCore.setupCall(x.entry, x.args);
+    _hostCore.setupCall(x.entry, argsOf(x));
     tracePoint(TracePoint::callEntry, task.pid, x.id, 0, x.entry);
     runHostSegment(x);
 }
@@ -830,9 +851,7 @@ MigrationEngine::dispatchFallback(TaskExec &x)
                       "registered twin of %#llx",
                       pid, (unsigned long long)top.target);
             }
-            std::vector<std::uint64_t> args(top.args.begin(),
-                                            top.args.begin() + top.nargs);
-            _hostCore.setupCall(twin, args);
+            _hostCore.setupCall(twin, argsOf(top));
             tracePoint(TracePoint::hostCallStart, pid, id, 0, twin);
             runHostSegment(*v);
         });
@@ -852,9 +871,7 @@ MigrationEngine::handleHostDescriptor(TaskExec &x, MigrationDescriptor d)
       case DescriptorKind::nxpToHostCall: {
         if (top.callee == hostSide) {
             // (d) An NxP called a host function: run it here.
-            std::vector<std::uint64_t> args(d.args.begin(),
-                                            d.args.begin() + d.nargs);
-            _hostCore.setupCall(d.target, args);
+            _hostCore.setupCall(d.target, argsOf(d));
             tracePoint(TracePoint::hostCallStart, pid, x.id, 0, d.target);
             runHostSegment(x);
             return;
@@ -876,7 +893,7 @@ MigrationEngine::handleHostDescriptor(TaskExec &x, MigrationDescriptor d)
             }
             protoStat("failovers", to);
             top.callee = hostSide;
-            _hostCore.setupCall(twin, d.argVector());
+            _hostCore.setupCall(twin, argsOf(d));
             tracePoint(TracePoint::hostCallStart, pid, x.id, 0, twin);
             runHostSegment(x);
             return;
@@ -1254,9 +1271,7 @@ MigrationEngine::startHostSteeredCall(TaskExec &x, VAddr faulted,
             return;
         }
         CallFrame &top = w->frames.back();
-        std::vector<std::uint64_t> args(top.args.begin(),
-                                        top.args.begin() + top.nargs);
-        _hostCore.setupCall(twin, args);
+        _hostCore.setupCall(twin, argsOf(top));
         tracePoint(TracePoint::hostCallStart, pid, id, 0, twin);
         runHostSegment(*w);
     });
@@ -1329,9 +1344,7 @@ MigrationEngine::launchSpeculation(TaskExec &x, unsigned device)
     _spec->beginSlice();
     // setupCall inside the slice: its return-address push is a
     // speculative store like any other.
-    std::vector<std::uint64_t> args(top.args.begin(),
-                                    top.args.begin() + top.nargs);
-    _hostCore.setupCall(twin, args);
+    _hostCore.setupCall(twin, argsOf(top));
     RunResult r = _hostCore.run(_spec->config().maxInstructions);
     _spec->endSlice();
     _hostCore.swapNativeHook(std::move(native));
@@ -1529,9 +1542,7 @@ MigrationEngine::startHostToNxpCall(TaskExec &x, VAddr target,
                 return;
             }
             CallFrame &top = w->frames.back();
-            std::vector<std::uint64_t> args(top.args.begin(),
-                                            top.args.begin() + top.nargs);
-            _hostCore.setupCall(twin, args);
+            _hostCore.setupCall(twin, argsOf(top));
             tracePoint(TracePoint::hostCallStart, pid, id, 0, twin);
             runHostSegment(*w);
         });
@@ -1606,7 +1617,7 @@ MigrationEngine::completeCall(TaskExec &x, std::uint64_t value)
         _qosModel.record(x.task->cr3, x.entry, _events.now() - x.admitted);
         _tenants.onRetire(tenant);
     }
-    _exec.erase(x.task->pid);
+    retireExec(x.task->pid);
     traceGauge(TraceGauge::inFlightCalls, 0, _exec.size());
     if (was_qos)
         pumpQosQueues();
@@ -1642,7 +1653,7 @@ MigrationEngine::hostSendDescriptor(TaskExec &x, MigrationDescriptor d,
         _kernel.suspendForMigration(task, _hostCore.saveContext());
         after(_timing.suspendSwitch, [this, pid, id, d, device] {
             bool is_call = d.kind == DescriptorKind::hostToNxpCall;
-            Cont fire = [this, pid, id, d, device] {
+            auto fire = [this, pid, id, d, device] {
                 TaskExec *w = live(pid, id);
                 if (!w) {
                     releaseHost();
@@ -1899,9 +1910,7 @@ MigrationEngine::handleNxpDescriptor(unsigned device,
             core.mmu().setCr3(d.cr3);
             s.loadedCr3 = d.cr3;
             core.setStackPointer(d.nxpSp);
-            std::vector<std::uint64_t> args(d.args.begin(),
-                                            d.args.begin() + d.nargs);
-            core.setupCall(d.target, args);
+            core.setupCall(d.target, argsOf(d));
             tracePoint(TracePoint::nxpCallStart, pid, d.callId, device,
                        d.target);
             runNxpSegment(*x, device);
@@ -2638,7 +2647,7 @@ MigrationEngine::failCall(TaskExec &x, CallStatus status)
     _kernel.removeFromRunQueue(task);
     _kernel.abortMigration(task);
     task.nxpSavedCtx.clear();
-    _exec.erase(task.pid);
+    retireExec(task.pid);
     traceGauge(TraceGauge::inFlightCalls, 0, _exec.size());
     if (was_qos) {
         // Failed calls free the tenant's budget slot like completions,

@@ -39,10 +39,11 @@
 #ifndef FLICK_FLICK_RUNTIME_HH
 #define FLICK_FLICK_RUNTIME_HH
 
+#include <array>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -451,7 +452,8 @@ class MigrationEngine
         Tick deadline = 0;
         //! Entry-call parameters, consumed by the first host dispatch.
         VAddr entry = 0;
-        std::vector<std::uint64_t> args;
+        std::uint32_t nargs = 0;
+        std::array<std::uint64_t, MigrationDescriptor::maxArgs> args{};
         VAddr stackTop = 0;
         //! Set while a woken descriptor waits for the host core.
         bool pendingWake = false;
@@ -541,8 +543,6 @@ class MigrationEngine
         unsigned d2hLanded = 0;
     };
 
-    using Cont = std::function<void()>;
-
     // --- Host-core scheduling -----------------------------------------
 
     /** Schedule a host dispatch attempt if the core might be free. */
@@ -559,7 +559,8 @@ class MigrationEngine
     {
         Task *task = nullptr;
         VAddr entry = 0;
-        std::vector<std::uint64_t> args;
+        std::uint32_t nargs = 0;
+        std::array<std::uint64_t, MigrationDescriptor::maxArgs> args{};
         VAddr stackTop = 0;
         int placementHint = -1;
         //! Absolute deadline fixed at submit time: queueing delay burns
@@ -584,7 +585,7 @@ class MigrationEngine
      * nullptr makes a fresh one.
      */
     CallFuture admitCall(Task &task, VAddr entry,
-                         const std::vector<std::uint64_t> &args,
+                         std::span<const std::uint64_t> args,
                          VAddr stack_top, Tick abs_deadline,
                          int placement_hint,
                          std::shared_ptr<CallFutureState> state);
@@ -606,7 +607,7 @@ class MigrationEngine
      * does (unmapped args, host-resident data, tie).
      */
     int residencyMajorityDevice(Task &task,
-                                const std::vector<std::uint64_t> &args);
+                                std::span<const std::uint64_t> args);
 
     /** Devices not written off by the health watchdog. */
     unsigned aliveDeviceCount() const;
@@ -897,15 +898,47 @@ class MigrationEngine
 
     // --- Helpers -------------------------------------------------------
 
+    /** The live prefix of a call record's or descriptor's fixed
+     *  argument array. */
+    template <class Record>
+    static std::span<const std::uint64_t>
+    argsOf(const Record &r)
+    {
+        return {r.args.data(), r.nargs};
+    }
+
+    /** Insert @p x as @p pid's in-flight call, reusing a spare node. */
+    void insertExec(int pid, TaskExec &&x);
+    /** Remove @p pid's in-flight call, keeping its node as a spare. */
+    void retireExec(int pid);
+
     /** Ensure the thread has an NxP stack on @p device (Listing 1),
      *  charging the allocation before running @p then. */
-    void ensureNxpStack(Task &task, unsigned device, Cont then);
+    template <class F>
+    void
+    ensureNxpStack(Task &task, unsigned device, F &&then)
+    {
+        if (task.nxpStackTop[device] != 0) {
+            then();
+            return;
+        }
+        allocateNxpStack(task, device);
+        after(_timing.nxpStackAllocate,
+              [this, then = std::forward<F>(then)]() mutable {
+                  _stats.inc("nxp_stacks_allocated");
+                  then();
+              });
+    }
+
+    /** Allocate the thread's NxP stack on @p device. */
+    void allocateNxpStack(Task &task, unsigned device);
 
     /** Schedule @p fn to run @p t ticks from now. */
+    template <class F>
     void
-    after(Tick t, Cont fn)
+    after(Tick t, F &&fn)
     {
-        _events.scheduleIn(t, "flick-engine", std::move(fn));
+        _events.scheduleIn(t, "flick-engine", std::forward<F>(fn));
     }
 
     Tick hostCycles(std::uint64_t n) const;
@@ -963,6 +996,10 @@ class MigrationEngine
     //! In-flight submitted calls by PID (node-stable container: chained
     //! events hold PIDs and look their exec state up on entry).
     std::map<int, TaskExec> _exec;
+    //! Nodes of retired calls, kept with their call-frame buffers for
+    //! the next admitted call: a steady stream of calls allocates
+    //! neither a map node nor a frame stack.
+    std::vector<std::map<int, TaskExec>::node_type> _spareExecs;
 
     bool _hostBusy = false;
     bool _hostKickScheduled = false;

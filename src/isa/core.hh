@@ -14,11 +14,14 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <memory>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
 
+#include "isa/context.hh"
 #include "isa/icache.hh"
 #include "isa/isa.hh"
 #include "mem/mem_system.hh"
@@ -122,7 +125,15 @@ class Core
      * runtime trampoline. May adjust the stack (HX64 pushes).
      */
     virtual void setupCall(VAddr target,
-                           const std::vector<std::uint64_t> &args) = 0;
+                           std::span<const std::uint64_t> args) = 0;
+
+    /** setupCall() with literal arguments. */
+    void
+    setupCall(VAddr target, std::initializer_list<std::uint64_t> args)
+    {
+        setupCall(target, std::span<const std::uint64_t>(args.begin(),
+                                                         args.size()));
+    }
 
     /**
      * Complete a hijacked call: deliver @p retval and emulate the
@@ -132,10 +143,10 @@ class Core
     virtual void finishHijackedCall(std::uint64_t retval) = 0;
 
     /** Snapshot all architectural state (context switch out). */
-    virtual std::vector<std::uint64_t> saveContext() const = 0;
+    virtual CoreContext saveContext() const = 0;
 
     /** Restore architectural state (context switch in). */
-    virtual void restoreContext(const std::vector<std::uint64_t> &ctx) = 0;
+    virtual void restoreContext(const CoreContext &ctx) = 0;
 
     // --- Infrastructure ------------------------------------------------
 

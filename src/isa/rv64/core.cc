@@ -518,7 +518,7 @@ Rv64Core::~Rv64Core()
 }
 
 void
-Rv64Core::setupCall(VAddr target, const std::vector<std::uint64_t> &args)
+Rv64Core::setupCall(VAddr target, std::span<const std::uint64_t> args)
 {
     if (args.size() > maxArgRegs())
         panic("rv64 setupCall with %zu args (max 8)", args.size());
@@ -537,16 +537,18 @@ Rv64Core::finishHijackedCall(std::uint64_t retval)
     setPc(reg(regRa));
 }
 
-std::vector<std::uint64_t>
+CoreContext
 Rv64Core::saveContext() const
 {
-    std::vector<std::uint64_t> ctx(_regs.begin(), _regs.end());
-    ctx.push_back(pc());
+    CoreContext ctx;
+    for (std::uint64_t r : _regs)
+        ctx.push(r);
+    ctx.push(pc());
     return ctx;
 }
 
 void
-Rv64Core::restoreContext(const std::vector<std::uint64_t> &ctx)
+Rv64Core::restoreContext(const CoreContext &ctx)
 {
     if (ctx.size() != 33)
         panic("rv64 restoreContext with %zu words", ctx.size());

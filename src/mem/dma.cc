@@ -35,7 +35,7 @@ DmaEngine::traceQueueDepth()
 }
 
 void
-DmaEngine::enqueue(Transfer t)
+DmaEngine::enqueue(Transfer &&t)
 {
     if (_busy) {
         _queued.inc();
@@ -48,7 +48,7 @@ DmaEngine::enqueue(Transfer t)
 }
 
 void
-DmaEngine::start(Transfer t)
+DmaEngine::start(Transfer &&t)
 {
     _busy = true;
     _transfers.inc();
@@ -71,9 +71,7 @@ DmaEngine::start(Transfer t)
         }
     }
     _events.scheduleIn(latency, t.to_nxp ? "dmaToNxp" : "dmaToHost",
-                       [this, t = std::move(t)]() mutable {
-                           complete(std::move(t));
-                       });
+                       [this, t = std::move(t)]() mutable { complete(t); });
 }
 
 void
@@ -90,7 +88,7 @@ DmaEngine::corrupt(std::vector<std::uint8_t> &buf)
 }
 
 void
-DmaEngine::complete(Transfer t)
+DmaEngine::complete(Transfer &t)
 {
     const PlatformConfig &p = _mem.platform();
 

@@ -14,11 +14,11 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <vector>
 
 #include "mem/mem_system.hh"
 #include "sim/event_queue.hh"
+#include "sim/inplace_callback.hh"
 #include "sim/stats.hh"
 
 namespace flick
@@ -35,7 +35,12 @@ class Tracer;
 class DmaEngine
 {
   public:
-    using Callback = std::function<void()>;
+    /** Largest completion callback (lambda capture), in bytes. */
+    static constexpr std::size_t maxCallbackBytes = 48;
+
+    /** Completion callback, held in place: a transfer allocates
+     *  nothing. Larger captures fail to compile. */
+    using Callback = InplaceCallback<maxCallbackBytes>;
 
     /**
      * @param nxp_device Which NxP device this engine belongs to; its
@@ -108,9 +113,9 @@ class DmaEngine
         unsigned chained = 1; //!< Chained elements in this burst.
     };
 
-    void enqueue(Transfer t);
-    void start(Transfer t);
-    void complete(Transfer t);
+    void enqueue(Transfer &&t);
+    void start(Transfer &&t);
+    void complete(Transfer &t);
     /** Sample the queue-depth gauge (no-op without an enabled tracer). */
     void traceQueueDepth();
     /** Maybe flip bits in an in-flight payload (chaos). */

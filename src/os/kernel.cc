@@ -122,13 +122,12 @@ Kernel::traceInstant(TracePoint p, const Task &task)
 }
 
 void
-Kernel::suspendForMigration(Task &task,
-                            std::vector<std::uint64_t> host_context)
+Kernel::suspendForMigration(Task &task, const CoreContext &host_context)
 {
     if (task.state != TaskState::running && task.state != TaskState::created)
         panic("suspendForMigration of task %d in state %d", task.pid,
               static_cast<int>(task.state));
-    task.hostContext = std::move(host_context);
+    task.hostContext = host_context;
     task.migrationFlag = true;
     task.state = TaskState::onNxp;
     _suspensions.inc();
@@ -156,7 +155,7 @@ Kernel::wake(Task &task)
     traceInstant(TracePoint::kernelWake, task);
 }
 
-std::vector<std::uint64_t>
+const CoreContext &
 Kernel::resume(Task &task)
 {
     if (task.state != TaskState::runnable)
@@ -165,7 +164,7 @@ Kernel::resume(Task &task)
     task.state = TaskState::running;
     _resumes.inc();
     traceInstant(TracePoint::kernelResume, task);
-    return std::move(task.hostContext);
+    return task.hostContext;
 }
 
 } // namespace flick

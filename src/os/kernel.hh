@@ -106,8 +106,7 @@ class Kernel
      * (the ioctl path) must trigger the descriptor DMA only after this
      * returns — the ordering the paper's scheduler flag enforces.
      */
-    void suspendForMigration(Task &task,
-                             std::vector<std::uint64_t> host_context);
+    void suspendForMigration(Task &task, const CoreContext &host_context);
 
     /**
      * Consume the migration flag, as the scheduler does right after
@@ -119,7 +118,7 @@ class Kernel
     void wake(Task &task);
 
     /** Scheduler picked the task back up; returns the saved context. */
-    std::vector<std::uint64_t> resume(Task &task);
+    const CoreContext &resume(Task &task);
 
     StatGroup &stats() { return _stats; }
 

@@ -4,10 +4,8 @@ namespace flick
 {
 
 bool
-ChaosController::roll(double rate, const char *counter)
+ChaosController::draw(double rate, const char *counter)
 {
-    if (!_config.enabled || rate <= 0.0)
-        return false;
     _stats.inc("rolls");
     if (_rng.real() >= rate)
         return false;
@@ -17,10 +15,8 @@ ChaosController::roll(double rate, const char *counter)
 }
 
 Tick
-ChaosController::extraDelay(const char *counter, const char *tick_counter)
+ChaosController::drawDelay(const char *tick_counter)
 {
-    if (!roll(_config.delayRate, counter))
-        return 0;
     Tick extra = _config.maxExtraDelay
                      ? 1 + _rng.below(_config.maxExtraDelay)
                      : 0;

@@ -189,10 +189,30 @@ class ChaosController
     const StatGroup &stats() const { return _stats; }
 
   private:
-    /** One Bernoulli draw; never draws when chaos is disabled. */
-    bool roll(double rate, const char *counter);
+    /** One Bernoulli draw; never draws when chaos is disabled. The
+     *  disabled check is inline: fault-free runs consult the
+     *  controller many times per crossing. */
+    bool
+    roll(double rate, const char *counter)
+    {
+        if (!_config.enabled || rate <= 0.0)
+            return false;
+        return draw(rate, counter);
+    }
 
-    Tick extraDelay(const char *counter, const char *tick_counter);
+    /** roll() past the disabled check. */
+    bool draw(double rate, const char *counter);
+
+    Tick
+    extraDelay(const char *counter, const char *tick_counter)
+    {
+        if (!roll(_config.delayRate, counter))
+            return 0;
+        return drawDelay(tick_counter);
+    }
+
+    /** The injected delay of an extraDelay() roll that fired. */
+    Tick drawDelay(const char *tick_counter);
 
     ChaosConfig _config;
     Rng _rng;

@@ -7,15 +7,31 @@
 namespace flick
 {
 
-EventQueue::EventId
-EventQueue::schedule(Tick when, const char *name, Callback cb)
+void
+EventQueue::pastEvent(Tick when, const char *name) const
 {
-    if (when < _now) {
-        panic("event '%s' scheduled in the past (%llu < %llu)", name,
-              (unsigned long long)when, (unsigned long long)_now);
-    }
+    panic("event '%s' scheduled in the past (%llu < %llu)", name,
+          (unsigned long long)when, (unsigned long long)_now);
+}
+
+void
+EventQueue::grow()
+{
+    std::uint32_t base =
+        static_cast<std::uint32_t>(_blocks.size()) * blockSlots;
+    _blocks.push_back(std::make_unique<Slot[]>(blockSlots));
+    // Thread the new block onto the free list in index order.
+    Slot *block = _blocks.back().get();
+    for (std::uint32_t i = 0; i < blockSlots; ++i)
+        block[i].nextFree = i + 1 < blockSlots ? base + i + 1 : _freeHead;
+    _freeHead = base;
+}
+
+EventQueue::EventId
+EventQueue::push(Tick when, std::uint32_t slot)
+{
     EventId id = _nextId++;
-    _heap.push_back({when, id, name, std::move(cb), false});
+    _heap.push_back({when, id, slot});
     std::push_heap(_heap.begin(), _heap.end(), later);
     ++_live;
     return id;
@@ -25,14 +41,18 @@ bool
 EventQueue::deschedule(EventId id)
 {
     // The heap cannot be searched efficiently; mark-and-skip instead.
-    // The mark is lazy: the entry stays until it surfaces at the top.
-    for (Entry &e : _heap) {
-        if (e.id == id && !e.cancelled) {
-            e.cancelled = true;
-            --_live;
-            purgeTop();
-            return true;
-        }
+    // The mark is lazy: the entry (and its callback) stays until it
+    // surfaces at the top.
+    for (const Key &k : _heap) {
+        if (k.seq != id)
+            continue;
+        Slot &s = slotAt(k.slot);
+        if (s.cancelled)
+            return false;
+        s.cancelled = true;
+        --_live;
+        purgeTop();
+        return true;
     }
     return false;
 }
@@ -47,8 +67,15 @@ EventQueue::popTop()
 void
 EventQueue::purgeTop()
 {
-    while (!_heap.empty() && _heap.front().cancelled)
+    while (!_heap.empty()) {
+        std::uint32_t slot = _heap.front().slot;
+        Slot &s = slotAt(slot);
+        if (!s.cancelled)
+            return;
         popTop();
+        s.cb.reset();
+        releaseSlot(slot);
+    }
 }
 
 bool
@@ -56,14 +83,19 @@ EventQueue::step()
 {
     if (_heap.empty())
         return false;
-    Entry &top = _heap.front();
+    Key top = _heap.front();
     _now = top.when;
-    Callback cb = std::move(top.cb);
     popTop();
     purgeTop();
     --_live;
     ++_eventsRun;
-    cb();
+    // The slot stays off the free list while its callback runs, and
+    // blocks never move, so the callback may schedule freely (even
+    // grow the slab) while executing in place.
+    Slot &s = slotAt(top.slot);
+    s.cb();
+    s.cb.reset();
+    releaseSlot(top.slot);
     return true;
 }
 

@@ -12,9 +12,11 @@
 #define FLICK_SIM_EVENT_QUEUE_HH
 
 #include <cstdint>
-#include <functional>
+#include <memory>
+#include <utility>
 #include <vector>
 
+#include "sim/inplace_callback.hh"
 #include "sim/ticks.hh"
 
 namespace flick
@@ -27,16 +29,23 @@ namespace flick
  * and may schedule further events (including at the current tick, which run
  * after all previously scheduled same-tick events).
  *
- * The queue owns its entries: they live by value in a binary heap, so
- * scheduling allocates nothing beyond what the callback itself needs,
- * and destroying the queue destroys every still-pending callback (and
- * whatever it captured). Cancelled entries are purged whenever they
- * reach the top, so the top is always live and nextEventTime() is O(1).
+ * Scheduling allocates nothing in steady state. A callback is
+ * constructed directly in a fixed-size slot of a slab that grows by
+ * whole blocks (blocks never move), is invoked in place, destroyed
+ * once it returns, and its slot recycled through a free list. The
+ * time order lives in a binary heap of small trivially-copyable keys
+ * (when, seq, slot), so heap sifts never touch a callback. Destroying
+ * the queue destroys every still-pending callback (and whatever it
+ * captured). Cancelled entries are purged whenever they reach the top,
+ * so the top is always live and nextEventTime() is O(1).
  */
 class EventQueue
 {
   public:
-    using Callback = std::function<void()>;
+    /** Largest callable (lambda capture) an event can hold, in bytes;
+     *  sized for the migration engine's descriptor-carrying
+     *  continuations. Larger captures fail to compile. */
+    static constexpr std::size_t maxCallbackBytes = 160;
 
     /** Opaque handle identifying a scheduled event, for deschedule(). */
     using EventId = std::uint64_t;
@@ -52,18 +61,29 @@ class EventQueue
      * Schedule @p cb to run at absolute time @p when.
      *
      * @param when Absolute tick; must not be in the past.
-     * @param name Debug label, retained for diagnostics; a string with
-     *        static storage duration (a literal).
-     * @param cb Callback to invoke.
+     * @param name Debug label for diagnostics; a string with static
+     *        storage duration (a literal).
+     * @param cb Callable taking no arguments; constructed in place in
+     *        the event's slot (at most maxCallbackBytes).
      * @return Handle usable with deschedule().
      */
-    EventId schedule(Tick when, const char *name, Callback cb);
+    template <class F>
+    EventId
+    schedule(Tick when, const char *name, F &&cb)
+    {
+        if (when < _now)
+            pastEvent(when, name);
+        std::uint32_t slot = acquireSlot();
+        slotAt(slot).cb.emplace(std::forward<F>(cb));
+        return push(when, slot);
+    }
 
     /** Schedule @p cb to run @p delay ticks from now. */
+    template <class F>
     EventId
-    scheduleIn(Tick delay, const char *name, Callback cb)
+    scheduleIn(Tick delay, const char *name, F &&cb)
     {
-        return schedule(_now + delay, name, std::move(cb));
+        return schedule(_now + delay, name, std::forward<F>(cb));
     }
 
     /**
@@ -109,36 +129,85 @@ class EventQueue
     std::uint64_t eventsRun() const { return _eventsRun; }
 
   private:
-    struct Entry
+    /** Heap entry; the callback lives in slotAt(slot). */
+    struct Key
     {
         Tick when;
-        EventId id; //!< Also the FIFO tie-break for same-tick events.
-        const char *name;
-        Callback cb;
-        bool cancelled;
+        EventId seq; //!< The EventId; also the same-tick FIFO order.
+        std::uint32_t slot;
     };
+
+    /** Slab cell holding one pending event's callback in place. A
+     *  free slot's callback is empty, so destroying the slab destroys
+     *  exactly the pending and unpurged cancelled callbacks. */
+    struct Slot
+    {
+        InplaceCallback<maxCallbackBytes> cb;
+        std::uint32_t nextFree = 0; //!< Free-list link while unused.
+        bool cancelled = false;
+    };
+
+    static constexpr unsigned blockShift = 6;
+    static constexpr std::uint32_t blockSlots = 1u << blockShift;
 
     /** Heap order: std::*_heap keep the greatest first, so "greater"
      *  means "later". */
     static bool
-    later(const Entry &a, const Entry &b)
+    later(const Key &a, const Key &b)
     {
         if (a.when != b.when)
             return a.when > b.when;
-        return a.id > b.id;
+        return a.seq > b.seq;
     }
 
-    /** Remove the top entry from the heap. */
+    Slot &
+    slotAt(std::uint32_t i)
+    {
+        return _blocks[i >> blockShift][i & (blockSlots - 1)];
+    }
+
+    /** Take a slot off the free list, growing the slab by a block when
+     *  it is empty. */
+    std::uint32_t
+    acquireSlot()
+    {
+        if (_freeHead == noSlot)
+            grow();
+        std::uint32_t i = _freeHead;
+        _freeHead = slotAt(i).nextFree;
+        return i;
+    }
+
+    /** Return an empty slot to the free list. */
+    void
+    releaseSlot(std::uint32_t i)
+    {
+        Slot &s = slotAt(i);
+        s.cancelled = false;
+        s.nextFree = _freeHead;
+        _freeHead = i;
+    }
+
+    void grow();
+    EventId push(Tick when, std::uint32_t slot);
+    [[noreturn]] void pastEvent(Tick when, const char *name) const;
+
+    /** Remove the top key from the heap. */
     void popTop();
 
-    /** Pop cancelled entries off the top until it is live or empty. */
+    /** Pop cancelled entries off the top (destroying their callbacks)
+     *  until it is live or empty. */
     void purgeTop();
+
+    static constexpr std::uint32_t noSlot = ~std::uint32_t(0);
 
     Tick _now = 0;
     EventId _nextId = 1;
     std::size_t _live = 0;
     std::uint64_t _eventsRun = 0;
-    std::vector<Entry> _heap;
+    std::vector<Key> _heap;
+    std::vector<std::unique_ptr<Slot[]>> _blocks;
+    std::uint32_t _freeHead = noSlot;
 };
 
 } // namespace flick

@@ -527,7 +527,7 @@ struct SmcRun
     std::uint64_t t3 = 0;
     Tick elapsed = 0;
     std::uint64_t instructions = 0;
-    std::vector<std::uint64_t> context;
+    CoreContext context;
     std::vector<std::uint64_t> fetch;  //!< ITLB and I-cache counters.
     std::vector<std::uint64_t> decode; //!< Decode-cache counters.
 };

@@ -5,12 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/inplace_callback.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
@@ -213,6 +215,99 @@ TEST(EventQueue, DescheduleHeadThenNextEventTime)
     EXPECT_EQ(q.nextEventTime(), maxTick);
     EXPECT_FALSE(q.deschedule(head));
     EXPECT_TRUE(q.empty());
+}
+
+/**
+ * A callback that schedules more events than one slab block holds runs
+ * in place while the slab grows under it: the code after the
+ * scheduling loop still runs and still reads its captures correctly.
+ */
+TEST(EventQueue, InPlaceCallbackSurvivesSlabGrowth)
+{
+    EventQueue q;
+    constexpr int children = 1000; // many slab blocks' worth
+    std::array<std::uint64_t, 12> payload;
+    for (unsigned i = 0; i < payload.size(); ++i)
+        payload[i] = 0x0123456789abcdefull * (i + 1);
+    std::array<std::uint64_t, 12> seen{};
+    int fired = 0;
+    bool tail_ran = false;
+    q.schedule(1, "grow", [&q, &fired, &seen, &tail_ran, payload] {
+        for (int i = 0; i < children; ++i)
+            q.scheduleIn(1 + i % 7, "child", [&fired] { ++fired; });
+        seen = payload;
+        tail_ran = true;
+    });
+    q.run();
+    EXPECT_TRUE(tail_ran);
+    EXPECT_EQ(seen, payload);
+    EXPECT_EQ(fired, children);
+    EXPECT_EQ(q.eventsRun(), 1u + children);
+}
+
+/**
+ * Every callback's captures are destroyed exactly once: a run one
+ * after it returns, a cancelled one when it is purged, a pending one
+ * when the queue is destroyed.
+ */
+TEST(EventQueue, CapturesAreDestroyedExactlyOnce)
+{
+    auto ran = std::make_shared<int>(0);
+    auto purged = std::make_shared<int>(0);
+    auto cancelled = std::make_shared<int>(0);
+    auto pending = std::make_shared<int>(0);
+    long count_inside = 0;
+    {
+        EventQueue q;
+        auto head = q.schedule(5, "purged", [purged] {});
+        q.schedule(10, "run", [ran, &count_inside] {
+            ++*ran;
+            count_inside = ran.use_count();
+        });
+        auto mid = q.schedule(20, "cancelled", [cancelled] {});
+        q.schedule(30, "pending", [pending] {});
+        for (const auto *t : {&ran, &purged, &cancelled, &pending})
+            EXPECT_EQ(t->use_count(), 2);
+
+        EXPECT_TRUE(q.deschedule(head)); // at the top: purged at once
+        EXPECT_EQ(purged.use_count(), 1);
+        EXPECT_TRUE(q.deschedule(mid)); // buried: kept until it surfaces
+        EXPECT_EQ(cancelled.use_count(), 2);
+        EXPECT_FALSE(q.deschedule(mid));
+
+        EXPECT_EQ(q.runUntil(25), 1u);
+        EXPECT_EQ(*ran, 1);
+        EXPECT_EQ(count_inside, 2); // alive while it ran
+        EXPECT_EQ(ran.use_count(), 1);
+        EXPECT_EQ(cancelled.use_count(), 1);
+        EXPECT_EQ(pending.use_count(), 2);
+    }
+    for (const auto *t : {&ran, &purged, &cancelled, &pending})
+        EXPECT_EQ(t->use_count(), 1);
+}
+
+/** Moving an InplaceCallback relocates its callable; it is destroyed
+ *  once, by whichever object holds it last. */
+TEST(InplaceCallback, MoveRelocatesAndDestroysOnce)
+{
+    auto token = std::make_shared<int>(0);
+    {
+        InplaceCallback<48> a([token] { ++*token; });
+        EXPECT_EQ(token.use_count(), 2);
+        InplaceCallback<48> b(std::move(a));
+        EXPECT_FALSE(a);
+        ASSERT_TRUE(b);
+        EXPECT_EQ(token.use_count(), 2);
+        b();
+        a = std::move(b);
+        EXPECT_FALSE(b);
+        a();
+        EXPECT_EQ(*token, 2);
+        EXPECT_EQ(token.use_count(), 2);
+        b = nullptr;
+        EXPECT_EQ(token.use_count(), 2);
+    }
+    EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(Rng, Deterministic)
