@@ -5,7 +5,7 @@
  * Host-speed work and refactoring of the simulator (hot-path rewrites
  * of the CRC, the stat counters, the memory routes, the event queue;
  * the per-device wiring of FlickSystem) must not move a single
- * simulated tick or counter. This test pins that down: four small
+ * simulated tick or counter. This test pins that down: six small
  * configurations run to completion, and a digest of their full
  * dumpStats() text plus the final tick must equal constants recorded
  * before that work. A mismatch means the change altered the
@@ -31,6 +31,8 @@
 #include "workloads/sharded.hh"
 
 using namespace flick;
+using workloads::shardSumRef;
+using workloads::shardWord;
 
 namespace
 {
@@ -219,6 +221,161 @@ dev0_chain:
     return finish(sys);
 }
 
+/**
+ * Two devices, profile-guided placement racing low-confidence calls
+ * against their host twins: a race the NxP wins, races the host twin
+ * wins (a straggler return harvested), submit-time placement hints, a
+ * call that misses its deadline, and calls steered to the host twin
+ * that return through it.
+ */
+Outcome
+runPolicySpeculationHints()
+{
+    SpecConfig spec;
+    spec.confidenceThresholdPct = 25;
+    FlickSystem sys(SystemConfig{}
+                        .withDevices(2)
+                        .withPlacement(PlacementKind::profileGuided)
+                        .withSpeculation(spec));
+    Program prog;
+    workloads::addShardedKernels(prog, 2);
+    workloads::addPlacementMix(prog, 2);
+    Process &proc = sys.load(prog);
+
+    constexpr std::uint64_t near_words = 2048;
+    constexpr std::uint64_t host_words = 64;
+    VAddr dev_buf = sys.migratableMalloc(proc, near_words * 8, 0);
+    VAddr host_buf = sys.migratableMalloc(proc, host_words * 8, -1);
+    std::uint64_t near_sum = 0;
+    for (std::uint64_t i = 0; i < near_words; ++i) {
+        sys.writeVa(proc, dev_buf + 8 * i, 3 * i + 1);
+        near_sum += 3 * i + 1;
+    }
+    for (std::uint64_t i = 0; i < host_words; ++i)
+        sys.writeVa(proc, host_buf + 8 * i, shardWord(5, i));
+
+    EXPECT_EQ(sys.submit(proc, CallSpec("mix_near")
+                                   .withArgs({dev_buf, near_words}))
+                  .wait(),
+              near_sum);
+    EXPECT_EQ(sys.submit(proc, CallSpec("shard_sum")
+                                   .withArgs({host_buf, host_words}))
+                  .wait(),
+              shardSumRef(5, 0, host_words));
+    sys.advanceTime(us(500));
+    for (std::uint64_t i = 0; i < 12; ++i)
+        EXPECT_EQ(sys.submit(proc, CallSpec("mix_tiny").withArgs({i, 1}))
+                      .wait(),
+                  i + 1);
+    EXPECT_EQ(sys.submit(proc, CallSpec("mix_hot")
+                                   .withArgs({7, 300})
+                                   .withPlacementHint(1))
+                  .wait(),
+              workloads::mixHotRef(7, 300));
+    CallFuture late = sys.submit(proc, CallSpec("mix_hot")
+                                           .withArgs({9, 1000000})
+                                           .withDeadline(us(40)));
+    late.wait();
+    EXPECT_EQ(late.status(), CallStatus::deadlineExceeded);
+    sys.advanceTime(us(2000));
+    // A hinted mix_tiny gives the model its device sample; the host
+    // twin's race wins already measured the host side, so the next
+    // calls are steered to the twin and return through it.
+    EXPECT_EQ(sys.submit(proc, CallSpec("mix_tiny")
+                                   .withArgs({40, 2})
+                                   .withPlacementHint(0))
+                  .wait(),
+              42u);
+    for (std::uint64_t i = 0; i < 4; ++i)
+        EXPECT_EQ(sys.submit(proc, CallSpec("mix_tiny").withArgs({i, 2}))
+                      .wait(),
+                  i + 2);
+
+    const StatGroup &st = sys.debug().engine().stats();
+    EXPECT_GT(st.get("spec.launched"), 0u);
+    EXPECT_GT(st.get("spec.committed_host"), 0u);
+    EXPECT_GT(st.get("spec.committed_nxp"), 0u);
+    EXPECT_GT(st.get("placement.host_steered_returns"), 0u);
+    EXPECT_EQ(st.get("placement.hinted_dev1"), 1u);
+    EXPECT_EQ(st.get("deadline_exceeded"), 1u);
+    return finish(sys);
+}
+
+/**
+ * Two devices with host fallback and a fabric-wide deadline; device 1
+ * dies mid-run. Covers a call that misses its own deadline, a call
+ * rescued by its host twin after quarantine, a forwarded
+ * device-to-device call and a fresh call both failed over to the twin
+ * at the quarantined destination, and a hint naming the dead device.
+ */
+Outcome
+runDeviceLossFailover()
+{
+    FlickSystem sys(SystemConfig{}
+                        .withDevices(2)
+                        .withHostFallback()
+                        .withCallDeadline(us(3000)));
+    Program prog;
+    workloads::addMicrobench(prog);
+    workloads::addMicrobenchHostFallbacks(prog);
+    prog.addNxpAsm(R"(
+dev1_scale:
+    slli a0, a0, 2
+    ret
+)",
+                   1);
+    prog.addNxpAsm(R"(
+dev0_chain:
+    addi sp, sp, -16
+    sd ra, 8(sp)
+    call dev1_scale
+    addi a0, a0, 1
+    ld ra, 8(sp)
+    addi sp, sp, 16
+    ret
+)");
+    prog.addHostAsm(R"(
+dev1_scale__host:
+    mov rax, rdi
+    shl rax, 2
+    ret
+)");
+    Process &proc = sys.load(prog);
+
+    for (std::uint64_t i = 0; i < 3; ++i)
+        EXPECT_EQ(sys.submit(proc, CallSpec("dev0_chain").withArgs({i}))
+                      .wait(),
+                  4 * i + 1);
+    CallFuture late = sys.submit(proc, CallSpec("nxp_noop_loop")
+                                           .withArgs({200000})
+                                           .withDeadline(us(20)));
+    late.wait();
+    EXPECT_EQ(late.status(), CallStatus::deadlineExceeded);
+
+    sys.debug().engine().killDevice(1);
+    CallFuture rescued =
+        sys.submit(proc, CallSpec("dev1_scale").withArgs({5}));
+    EXPECT_EQ(rescued.wait(), 20u);
+    EXPECT_EQ(rescued.status(), CallStatus::ok);
+    EXPECT_EQ(sys.debug().engine().deviceHealth(1),
+              DeviceHealth::quarantined);
+    EXPECT_EQ(sys.submit(proc, CallSpec("dev0_chain").withArgs({7})).wait(),
+              29u);
+    EXPECT_EQ(sys.submit(proc, CallSpec("dev1_scale").withArgs({6})).wait(),
+              24u);
+    EXPECT_EQ(sys.submit(proc, CallSpec("nxp_add")
+                                   .withArgs({1, 2})
+                                   .withPlacementHint(1))
+                  .wait(),
+              3u);
+
+    const StatGroup &st = sys.debug().engine().stats();
+    EXPECT_EQ(st.get("failovers_dev1"), 3u);
+    EXPECT_EQ(st.get("deadline_exceeded"), 1u);
+    EXPECT_EQ(st.get("quarantines_dev1"), 1u);
+    return finish(sys);
+}
+
 } // namespace
 
 TEST(StatsGolden, TableThreeRoundtrips)
@@ -240,4 +397,16 @@ TEST(StatsGolden, TwoDevicesMigrationTraceChaosForward)
 {
     expectGolden(runTwoDevicesMigrationTraceChaos(), 6285687660209750921ull,
                  2508282262);
+}
+
+TEST(StatsGolden, TwoDevicesPolicySpeculationHintsDeadline)
+{
+    expectGolden(runPolicySpeculationHints(), 12343592003903823231ull,
+                 6779493361);
+}
+
+TEST(StatsGolden, TwoDevicesDeviceLossFailoverDeadline)
+{
+    expectGolden(runDeviceLossFailover(), 17034069482522710049ull,
+                 3241542726);
 }
