@@ -1,16 +1,13 @@
 #!/usr/bin/env bash
 # Full verification sweep: the regular test suite in the default build,
 # the full suite again in a Debug + AddressSanitizer/UBSan build (leaks,
-# lifetime bugs and undefined behaviour anywhere in the simulator),
-# plus a Debug + ThreadSanitizer build running the concurrency-,
-# chaos-, device_fault-, trace-, policy-, fabric-, qos-, interp-,
-# residency- and spec-labeled tests (the
-# event-driven migration engine's interleaved continuation chains, the
-# fault-recovery and failover paths, the N-device batching/admission
-# machinery and the trace instrumentation riding along them are where
-# lifetime bugs would hide), and a docs-drift guard keeping DESIGN.md's
-# configuration table in sync with SystemConfig and CallSpec in both
-# directions.
+# lifetime bugs and undefined behaviour anywhere in the simulator), a
+# build-only Debug + ThreadSanitizer step (the simulator is single-
+# threaded — no test starts a thread — so running the suite under TSan
+# would check nothing ASan does not; the build keeps FLICK_SANITIZE=
+# thread compiling for a future parallel backend), and a docs-drift
+# guard keeping DESIGN.md's configuration table in sync with
+# SystemConfig and CallSpec in both directions.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -69,9 +66,9 @@ echo "== docs drift guard: flick.* stat families in DESIGN.md =="
 # flick.host_to_nxp_calls_dev<k>. Interned counters name their key
 # where they are declared ({_stats, "key"}).
 missing=0
-engine_keys=$(grep -hE '_stats\.(inc|set|add)\(|tenantStat\(|protoStat\(|^[[:space:]]*: "|\{_stats, "' \
+engine_keys=$(grep -hE '_stats\.(inc|set|add)\(|stats\(\)\.inc\(|_tenantStats\.add\(|protoStat\(|^[[:space:]]*: "|\{_stats, "|return "qos\.' \
                   src/flick/runtime.cc src/flick/runtime.hh \
-                  src/spec/speculation.cc |
+                  src/flick/qos.cc src/spec/speculation.cc |
               grep -oE '"[a-z][a-z_0-9.]*' | tr -d '"' | sort -u)
 residency_keys=$(grep -hE '_stats\.(inc|set)\(' src/flick/migrator.cc \
                      src/mem/residency.hh |
@@ -165,24 +162,10 @@ cmake --build build-asan -j "$jobs"
 ctest --test-dir build-asan --output-on-failure -j "$jobs"
 
 echo
-echo "== debug + tsan build, concurrency/chaos/trace/policy/fabric/interp tests =="
+echo "== debug + tsan build (build only: no test starts a thread) =="
 cmake -B build-tsan -S . \
     -DCMAKE_BUILD_TYPE=Debug -DFLICK_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j "$jobs" \
-    --target concurrent_call_test chaos_test callgraph_fuzz_test \
-             device_fault_test trace_test policy_test fabric_scale_test \
-             qos_test interp_diff_test isa_fuzz_test roundtrip_test \
-             residency_test spec_test bench_interp
-ctest --test-dir build-tsan --output-on-failure -j "$jobs" -L concurrency
-ctest --test-dir build-tsan --output-on-failure -j "$jobs" -L chaos
-ctest --test-dir build-tsan --output-on-failure -j "$jobs" -L device_fault
-ctest --test-dir build-tsan --output-on-failure -j "$jobs" -L trace
-ctest --test-dir build-tsan --output-on-failure -j "$jobs" -L policy
-ctest --test-dir build-tsan --output-on-failure -j "$jobs" -L fabric
-ctest --test-dir build-tsan --output-on-failure -j "$jobs" -L qos
-ctest --test-dir build-tsan --output-on-failure -j "$jobs" -L interp
-ctest --test-dir build-tsan --output-on-failure -j "$jobs" -L residency
-ctest --test-dir build-tsan --output-on-failure -j "$jobs" -L spec
+cmake --build build-tsan -j "$jobs"
 
 echo
 echo "all checks passed"

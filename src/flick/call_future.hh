@@ -36,6 +36,7 @@ namespace flick
 {
 
 class MigrationEngine;
+class QosFrontDoor;
 
 /** Outcome of a submitted call. */
 enum class CallStatus
@@ -135,6 +136,7 @@ class CallFuture
 
   private:
     friend class MigrationEngine;
+    friend class QosFrontDoor;
 
     CallFuture(std::shared_ptr<CallFutureState> state,
                MigrationEngine *engine)

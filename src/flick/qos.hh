@@ -28,19 +28,22 @@
 #ifndef FLICK_FLICK_QOS_HH
 #define FLICK_FLICK_QOS_HH
 
+#include <array>
 #include <cstdint>
+#include <deque>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "flick/call_future.hh"
+#include "flick/descriptor.hh"
 #include "mem/sparse_memory.hh"
+#include "policy/cost_model.hh"
+#include "sim/stats.hh"
 #include "sim/ticks.hh"
 
 namespace flick
 {
-
-/** Printable shed-reason name. */
-const char *shedReasonName(ShedReason reason);
 
 /**
  * Tunables of the multi-tenant QoS layer (SystemConfig::withQos).
@@ -133,18 +136,14 @@ struct QosArrival
     Tick estimate = 0;
 };
 
-/** Printable arrival-outcome name. */
-const char *qosOutcomeName(QosArrival::Outcome outcome);
-
 /**
  * Tenant registry, in-flight accounting and the weighted-fair pick.
  *
- * Owned by the MigrationEngine; the engine keeps the queued calls
- * themselves (they hold engine-internal state) and asks the scheduler
- * which tenant's queue to serve next. Fairness is start-time weighted
- * fair queuing over served call counts: the eligible tenant with the
- * smallest served/weight virtual time wins, ties broken by tenant id,
- * so the dequeue order is deterministic.
+ * Owned by the QosFrontDoor, which keeps the queued calls themselves
+ * and asks the scheduler which tenant's queue to serve next. Fairness
+ * is start-time weighted fair queuing over served call counts: the
+ * eligible tenant with the smallest served/weight virtual time wins,
+ * ties broken by tenant id, so the dequeue order is deterministic.
  */
 class TenantScheduler
 {
@@ -158,15 +157,9 @@ class TenantScheduler
             return it->second;
         unsigned id = static_cast<unsigned>(_tenants.size());
         _index.emplace(cr3, id);
-        _tenants.push_back(Tenant{cr3});
+        _tenants.emplace_back();
         return id;
     }
-
-    /** Registered tenant count. */
-    unsigned count() const { return static_cast<unsigned>(_tenants.size()); }
-
-    /** cr3 of @p tenant. */
-    Addr cr3Of(unsigned tenant) const { return _tenants[tenant].cr3; }
 
     unsigned inFlight(unsigned t) const { return _tenants[t].inFlight; }
     unsigned queued(unsigned t) const { return _tenants[t].queued; }
@@ -272,7 +265,6 @@ class TenantScheduler
   private:
     struct Tenant
     {
-        Addr cr3 = 0;
         unsigned inFlight = 0; //!< Admitted into the engine, not retired.
         unsigned queued = 0;   //!< Waiting in the submission queue.
         std::uint64_t served = 0; //!< Dequeues charged (WFQ virtual time).
@@ -283,6 +275,162 @@ class TenantScheduler
     std::vector<Tenant> _tenants;
     std::map<Addr, unsigned> _index;
     bool _lastPickAged = false;
+};
+
+class MigrationEngine;
+struct Task;
+
+/**
+ * What a submitted call asks for: the thread, its entry function and
+ * arguments, the host stack and the per-call knobs. The QoS front door
+ * queues it as is; admission makes it the head of the call's record.
+ */
+struct CallRequest
+{
+    Task *task = nullptr;
+    VAddr entry = 0;
+    std::uint32_t nargs = 0;
+    std::array<std::uint64_t, MigrationDescriptor::maxArgs> args{};
+    VAddr stackTop = 0;
+    //! Absolute completion deadline, fixed at submit time (queueing
+    //! burns it); 0 = none.
+    Tick deadline = 0;
+    //! One-shot device preference, consumed by the call's first
+    //! placement decision; -1 = none.
+    int placementHint = -1;
+};
+
+/**
+ * The QoS front door: everything submit() does for a tenant before a
+ * call enters the engine — tenant queues, the admission estimate, the
+ * shed / queue / admit decision, the weighted-fair pump, the cancel of
+ * a queued call and the arrival trace — plus what a retiring call
+ * gives back. Owned by the MigrationEngine and called directly, only
+ * while QosConfig::enabled is set; admitting a call into the engine
+ * and core ownership stay with the engine.
+ */
+class QosFrontDoor
+{
+  public:
+    QosFrontDoor(MigrationEngine &engine, const QosConfig &config,
+                 bool arrival_trace);
+
+    /** QosConfig::enabled: submit() goes through the front door. */
+    bool enabled() const { return _cfg.enabled; }
+
+    /**
+     * Register @p cr3 as a tenant (idempotent), assigning tenant ids in
+     * registration order — FlickSystem::load() calls this per process,
+     * so tenant k is the k-th loaded process and the per-tenant counter
+     * suffix "_cr3#k" is stable across runs.
+     */
+    unsigned registerTenant(Addr cr3);
+
+    /** Calls of @p tenant waiting in its submission queue. */
+    unsigned queued(unsigned tenant) const { return _tenants.queued(tenant); }
+
+    /** Does @p pid have a call parked in a tenant queue? */
+    bool holds(int pid) const { return _queuedPid.count(pid) != 0; }
+
+    /**
+     * The per-tenant in-flight budget after capacity-loss scaling:
+     * QosConfig::tenantInFlight times the alive fraction of the fabric
+     * (a quarantined device shrinks every tenant's budget), never below
+     * one.
+     */
+    unsigned effectiveTenantBudget() const;
+
+    /** The recorded front-door decisions (SystemConfig::arrivalTrace). */
+    const std::vector<QosArrival> &arrivalTrace() const { return _arrivals; }
+
+    /** Admit @p req into the engine, park it in its tenant's queue, or
+     *  shed it on the spot. */
+    CallFuture submit(const CallRequest &req);
+
+    /** A call by @p cr3 entered the engine: charge its tenant's
+     *  in-flight budget and return the tenant id. */
+    unsigned
+    admit(Addr cr3)
+    {
+        unsigned tenant = registerTenant(cr3);
+        _tenants.onAdmit(tenant);
+        return tenant;
+    }
+
+    /** A call to @p entry completed @p latency after admission: the
+     *  admission estimator's end-to-end sample. */
+    void
+    recordService(Addr cr3, VAddr entry, Tick latency)
+    {
+        _model.record(cr3, entry, latency);
+    }
+
+    /**
+     * A call of @p tenant left the engine (completed or failed): give
+     * its budget slot back and hand the freed capacity to the queues.
+     */
+    void retire(unsigned tenant);
+
+    /** Cancel @p pid's queued call; false if it has none queued. */
+    bool cancelQueued(int pid);
+
+  private:
+    /** One call parked in a tenant's submission queue. */
+    struct Pending : CallRequest
+    {
+        std::shared_ptr<CallFutureState> future;
+    };
+
+    /**
+     * The admission test's completion-time estimate for a call by
+     * @p cr3 to @p entry: the per-call service estimate (placement
+     * policy EWMAs, then this layer's own end-to-end model, then the
+     * analytic crossing floor) plus the tenant's own backlog serialized
+     * over the alive share of the fabric. Pure and side-effect free.
+     */
+    Tick admissionEstimate(Addr cr3, VAddr entry, unsigned tenant) const;
+
+    /** Does a deadline of @p abs_deadline miss the admission estimate? */
+    bool infeasible(Tick abs_deadline, Tick estimate) const;
+
+    /**
+     * Refuse @p task's call on the spot: the returned future is done
+     * with CallStatus::shedLoad and @p reason. Never allocates a call
+     * frame, touches a ring staging slot or schedules an event — the
+     * future is the only thing created (asserted by tests/qos_test.cpp).
+     */
+    CallFuture refuse(Task &task, unsigned tenant, ShedReason reason,
+                      Tick estimate);
+
+    /** Count a refusal (@p outcome, @p reason), record it in the arrival
+     *  trace and complete the call's future @p f as shed. */
+    void shed(CallFutureState &f, unsigned tenant,
+              QosArrival::Outcome outcome, ShedReason reason, Tick estimate);
+
+    /**
+     * Hand freed capacity to the tenant queues: weighted-fair dequeue
+     * while any tenant with queued work is under its effective budget.
+     * Re-checks deadline feasibility with the time burned queueing.
+     */
+    void pump();
+
+    /** Record a front-door decision when the arrival trace is on. */
+    void recordArrival(unsigned tenant, int pid, QosArrival::Outcome outcome,
+                       ShedReason reason, Tick estimate);
+
+    MigrationEngine &_engine;
+    const QosConfig _cfg;
+    const bool _arrivalTraceOn;
+    TenantScheduler _tenants;
+    //! Per-tenant submission queues, indexed by tenant id.
+    std::vector<std::deque<Pending>> _queues;
+    //! pid -> tenant of every queued call (submit guard, cancel path).
+    std::map<int, unsigned> _queuedPid;
+    //! End-to-end entry-latency EWMAs (the admission fallback model).
+    CallCostModel _model;
+    std::vector<QosArrival> _arrivals;
+    //! Per-tenant (_cr3#k) splits of the engine's QoS counters.
+    SplitCounters _tenantStats;
 };
 
 } // namespace flick

@@ -1,8 +1,11 @@
 #include "flick/runtime.hh"
 
+#include <algorithm>
+
+#include "flick/system.hh"
 #include "loader/loader.hh"
 #include "mem/residency.hh"
-#include "policy/policy.hh"
+#include "policy/residency_aware.hh"
 #include "sim/chaos.hh"
 #include "spec/speculation.hh"
 
@@ -70,25 +73,9 @@ struct EnginePlacementView final : PlacementView
         PageResidency pr;
         if (!e._residency)
             return pr;
-        // Untimed debug walk (same shape as the NX-fault tag read):
-        // residency queries are modeled as kernel metadata lookups and
-        // must not perturb timing or stats.
-        Addr table = cr3;
-        std::uint64_t raw = 0;
-        int level = 3;
-        bool leaf = false;
-        for (; level >= 0; --level) {
-            e._mem.readInt(Requester::debug,
-                           table + 8ull * tableIndex(va, level), 8,
-                           raw);
-            if (!(raw & pte::present))
-                return pr;
-            leaf = (level == 0) || (raw & pte::pageSize);
-            if (leaf)
-                break;
-            table = pte::entryAddr(raw);
-        }
-        if (!leaf)
+        int level = 0;
+        std::uint64_t raw = e.leafPte(cr3, va, level);
+        if (!raw)
             return pr;
         std::uint64_t granule = 4096ull << (9 * level);
         Addr pa = (pte::entryAddr(raw) & ~(granule - 1)) +
@@ -125,17 +112,6 @@ callStatusName(CallStatus status)
       case CallStatus::deviceLost: return "deviceLost";
       case CallStatus::cancelled: return "cancelled";
       case CallStatus::shedLoad: return "shedLoad";
-    }
-    return "?";
-}
-
-const char *
-deviceHealthName(DeviceHealth health)
-{
-    switch (health) {
-      case DeviceHealth::healthy: return "healthy";
-      case DeviceHealth::suspect: return "suspect";
-      case DeviceHealth::quarantined: return "quarantined";
     }
     return "?";
 }
@@ -187,12 +163,20 @@ CallFuture::value() const
 // --- Construction and registration --------------------------------------
 
 MigrationEngine::MigrationEngine(EventQueue &events, MemSystem &mem,
-                                 const TimingConfig &timing,
                                  Kernel &kernel, IrqController &irq,
-                                 Core &host_core)
-    : _events(events), _mem(mem), _timing(timing), _kernel(kernel),
-      _irq(irq), _hostCore(host_core), _stats("flick")
+                                 Core &host_core, const SystemConfig &config,
+                                 const Layers &layers)
+    : _events(events), _mem(mem), _timing(config.timing), _kernel(kernel),
+      _irq(irq), _hostCore(host_core), _nxpStackBytes(config.nxpStackBytes),
+      _batching(config.batching), _retryBudget(config.retryBudget),
+      _callDeadline(config.callDeadline), _hostFallback(config.hostFallback),
+      _strikeLimit(config.healthStrikeLimit ? config.healthStrikeLimit : 1),
+      _chaos(layers.chaos), _tracer(layers.tracer), _policy(layers.policy),
+      _residency(layers.residency), _spec(layers.spec), _stats("flick"),
+      _qos(*this, config.qos, config.arrivalTrace)
 {
+    if (_spec)
+        _spec->setConflictCallback([this] { specConflictAbort(); });
 }
 
 void
@@ -210,14 +194,13 @@ MigrationEngine::addNxpDevice(Core &core, NxpPlatform &platform,
     s.platform = &platform;
     s.dma = &dma;
     s.stackHeap = &stack_heap;
-    s.hostStagingPa = host_staging_pa;
-    s.hostInboxPa = host_inbox_pa;
     s.irqVector = irq_vector;
     s.clock = ClockDomain(freq_hz ? freq_hz : _timing.nxpFreqHz);
     s.h2d = DescriptorRing(host_staging_pa, platform.inboxLocalPa(),
                            ring_slots);
     s.d2h = DescriptorRing(platform.outboxLocalPa(), host_inbox_pa,
                            ring_slots);
+    s.h2dOwner.resize(ring_slots);
     _nxp.push_back(std::move(s));
     unsigned device = static_cast<unsigned>(_nxp.size() - 1);
     _irq.connect(irq_vector, [this, device] { hostIrq(device); });
@@ -229,15 +212,6 @@ MigrationEngine::side(unsigned device)
     if (device >= _nxp.size())
         panic("no NxP device %u", device);
     return _nxp[device];
-}
-
-MigrationEngine::TaskExec &
-MigrationEngine::exec(int pid)
-{
-    auto it = _exec.find(pid);
-    if (it == _exec.end())
-        panic("no in-flight call for task %d", pid);
-    return it->second;
 }
 
 MigrationEngine::TaskExec *
@@ -264,6 +238,23 @@ MigrationEngine::nxpCycles(unsigned device, std::uint64_t n) const
     if (device >= _nxp.size())
         panic("no NxP device %u", device);
     return _nxp[device].clock.cycles(n);
+}
+
+std::uint64_t
+MigrationEngine::leafPte(Addr cr3, VAddr va, int &level) const
+{
+    Addr table = cr3;
+    for (level = 3; level >= 0; --level) {
+        std::uint64_t raw = 0;
+        _mem.readInt(Requester::debug, table + 8ull * tableIndex(va, level),
+                     8, raw);
+        if (!(raw & pte::present))
+            return 0;
+        if (level == 0 || (raw & pte::pageSize))
+            return raw;
+        table = pte::entryAddr(raw);
+    }
+    return 0;
 }
 
 // --- Descriptor-ring memory helpers -------------------------------------
@@ -345,7 +336,7 @@ MigrationEngine::releaseNxpStacks(Task &task)
 
 CallFuture
 MigrationEngine::submit(Task &task, VAddr entry,
-                        const std::vector<std::uint64_t> &args,
+                        std::span<const std::uint64_t> args,
                         VAddr stack_top, const SubmitOptions &opts)
 {
     if (task.state != TaskState::created &&
@@ -358,152 +349,51 @@ MigrationEngine::submit(Task &task, VAddr entry,
     if (args.size() > MigrationDescriptor::maxArgs)
         panic("submit with %zu args (max %u)", args.size(),
               MigrationDescriptor::maxArgs);
-    if (_qos.enabled && _qosQueuedPid.count(task.pid))
+    if (_qos.holds(task.pid))
         panic("task %d already has a call queued", task.pid);
 
-    unsigned tenant = 0;
-    if (_qos.enabled) {
-        tenant = registerTenant(task.cr3);
-        tenantStat("qos.submitted", tenant);
-    }
-
-    Tick abs_deadline = 0;
+    CallRequest req;
+    req.task = &task;
+    req.entry = entry;
+    req.nargs = static_cast<std::uint32_t>(args.size());
+    std::copy(args.begin(), args.end(), req.args.begin());
+    req.stackTop = stack_top;
+    req.placementHint = opts.placementHint;
     if (opts.deadline)
-        abs_deadline = _events.now() + opts.deadline;
+        req.deadline = _events.now() + opts.deadline;
     else if (_callDeadline)
-        abs_deadline = _events.now() + _callDeadline;
-
-    if (!_qos.enabled) {
-        return admitCall(task, entry, args, stack_top, abs_deadline,
-                         opts.placementHint, nullptr);
-    }
-
-    // --- The QoS front door (DESIGN.md §14) ---------------------------
-
-    // Deadline-aware admission: estimate this call's completion time
-    // (shared cost model + the tenant's own backlog) and shed it now,
-    // before it occupies a ring slot, if the deadline cannot be met.
-    Tick estimate = admissionEstimate(task.cr3, entry, tenant);
-    if (abs_deadline && _qos.deadlineAdmission &&
-        _events.now() + estimate > abs_deadline) {
-        tenantStat("qos.shed", tenant);
-        tenantStat("qos.shed.deadline_infeasible", tenant);
-        recordArrival(tenant, task.pid, QosArrival::Outcome::shed,
-                      ShedReason::deadlineInfeasible, estimate);
-        return shedFuture(task, ShedReason::deadlineInfeasible);
-    }
-
-    if (_tenants.inFlight(tenant) >= effectiveTenantBudget()) {
-        if (_qos.tenantQueueCap == 0) {
-            // Queueing disabled: a strict budget, shed on the spot.
-            tenantStat("qos.shed", tenant);
-            tenantStat("qos.shed.tenant_over_budget", tenant);
-            recordArrival(tenant, task.pid, QosArrival::Outcome::shed,
-                          ShedReason::tenantOverBudget, estimate);
-            return shedFuture(task, ShedReason::tenantOverBudget);
-        }
-        if (_tenants.queued(tenant) >= _qos.tenantQueueCap) {
-            tenantStat("qos.shed", tenant);
-            tenantStat("qos.shed.queue_full", tenant);
-            recordArrival(tenant, task.pid, QosArrival::Outcome::shed,
-                          ShedReason::queueFull, estimate);
-            return shedFuture(task, ShedReason::queueFull);
-        }
-        // Over budget but the queue has room: park the call. Its future
-        // is pending; weighted fair dequeue admits it when the tenant's
-        // budget frees up (pumpQosQueues).
-        auto state = std::make_shared<CallFutureState>();
-        state->pid = task.pid;
-        QosPending p;
-        p.task = &task;
-        p.entry = entry;
-        p.nargs = static_cast<std::uint32_t>(args.size());
-        std::copy(args.begin(), args.end(), p.args.begin());
-        p.stackTop = stack_top;
-        p.placementHint = opts.placementHint;
-        p.absDeadline = abs_deadline;
-        p.enqueued = _events.now();
-        p.future = state;
-        _qosQueues[tenant].push_back(std::move(p));
-        _qosQueuedPid[task.pid] = tenant;
-        _tenants.onEnqueue(tenant);
-        tenantStat("qos.queued", tenant);
-        recordArrival(tenant, task.pid, QosArrival::Outcome::queued,
-                      ShedReason::none, estimate);
-        return CallFuture(std::move(state), this);
-    }
-
-    tenantStat("qos.admitted", tenant);
-    recordArrival(tenant, task.pid, QosArrival::Outcome::admitted,
-                  ShedReason::none, estimate);
-    return admitCall(task, entry, args, stack_top, abs_deadline,
-                     opts.placementHint, nullptr);
+        req.deadline = _events.now() + _callDeadline;
+    return _qos.enabled() ? _qos.submit(req) : admitCall(req, nullptr);
 }
 
 CallFuture
-MigrationEngine::shedFuture(Task &task, ShedReason reason)
-{
-    // A shed call completes without allocating a call frame, touching a
-    // ring staging slot or scheduling an event: the future is the only
-    // thing created, and the engine's clocks, rings and counters (bar
-    // the shed counters charged by the caller) are untouched.
-    auto shed = std::make_shared<CallFutureState>();
-    shed->pid = task.pid;
-    shed->value = 0;
-    shed->status = CallStatus::shedLoad;
-    shed->shedReason = reason;
-    shed->done = true;
-    return CallFuture(std::move(shed), this);
-}
-
-CallFuture
-MigrationEngine::admitCall(Task &task, VAddr entry,
-                           std::span<const std::uint64_t> args,
-                           VAddr stack_top, Tick abs_deadline,
-                           int placement_hint,
+MigrationEngine::admitCall(const CallRequest &req,
                            std::shared_ptr<CallFutureState> state)
 {
+    Task &task = *req.task;
     if (!state) {
         state = std::make_shared<CallFutureState>();
         state->pid = task.pid;
     }
     TaskExec x;
-    x.task = &task;
+    static_cast<CallRequest &>(x) = req;
     x.future = state;
     x.id = ++_nextExecId;
-    x.entry = entry;
-    x.nargs = static_cast<std::uint32_t>(args.size());
-    std::copy(args.begin(), args.end(), x.args.begin());
-    x.stackTop = stack_top;
-    x.placementHint = placement_hint;
-    x.deadline = abs_deadline;
-    if (_qos.enabled) {
-        x.qosAdmitted = true;
-        x.tenant = registerTenant(task.cr3);
+    if (_qos.enabled()) {
+        x.tenant = _qos.admit(task.cr3);
         x.admitted = _events.now();
-        _tenants.onAdmit(x.tenant);
     }
-    bool deadlined = x.deadline != 0;
     insertExec(task.pid, std::move(x));
     _callsSubmitted.inc();
     traceGauge(TraceGauge::inFlightCalls, 0, _exec.size());
     // The watchdog only exists when something can actually go wrong
     // (endpoint fault injection or a configured deadline); otherwise the
     // fault-free event stream stays untouched.
-    if (deadlined || (_chaos && _chaos->endpointFaultsEnabled()))
+    if (req.deadline || (_chaos && _chaos->endpointFaultsEnabled()))
         armHeartbeat();
     _kernel.enqueueRunnable(task);
     kickHost();
     return CallFuture(std::move(state), this);
-}
-
-unsigned
-MigrationEngine::registerTenant(Addr cr3)
-{
-    unsigned tenant = _tenants.tenantOf(cr3);
-    if (_qosQueues.size() <= tenant)
-        _qosQueues.resize(tenant + 1);
-    return tenant;
 }
 
 unsigned
@@ -517,185 +407,26 @@ MigrationEngine::aliveDeviceCount() const
     return n;
 }
 
-unsigned
-MigrationEngine::effectiveTenantBudget() const
-{
-    unsigned budget = _qos.tenantInFlight ? _qos.tenantInFlight : 1;
-    unsigned total = static_cast<unsigned>(_nxp.size());
-    if (!total)
-        return budget;
-    // Quarantined devices propagate their capacity loss into the
-    // admission budget: the per-tenant budget shrinks with the alive
-    // fraction of the fabric, but never below one so a degraded fabric
-    // still drains.
-    unsigned eff = budget * aliveDeviceCount() / total;
-    return eff ? eff : 1;
-}
-
-Tick
-MigrationEngine::admissionEstimate(Addr cr3, VAddr entry,
-                                   unsigned tenant) const
-{
-    // Per-call service estimate, most-informed source first: the
-    // placement policy's learned EWMAs (the same model that steers
-    // dispatch), the QoS layer's own end-to-end entry model, then the
-    // analytic single-crossing floor for never-seen callees.
-    Tick service = _policy ? _policy->estimateCall(cr3, entry) : 0;
-    if (!service)
-        service = _qosModel.estimate(cr3, entry);
-    if (!service)
-        service = crossingCostEstimate();
-    // Queueing delay: the tenant's own backlog (in-flight + queued
-    // calls) serialized over the alive share of the fabric. Another
-    // tenant's burst never inflates this estimate — its interference is
-    // bounded by that tenant's own budget instead.
-    unsigned alive = aliveDeviceCount();
-    if (!alive)
-        alive = 1;
-    std::uint64_t ahead =
-        _tenants.inFlight(tenant) + _tenants.queued(tenant);
-    return service + service * ahead / alive;
-}
-
 int
 MigrationEngine::residencyMajorityDevice(
     Task &task, std::span<const std::uint64_t> args)
 {
-    if (!_residency)
-        return -1;
-    // The same access-weighted page vote ResidencyAwarePlacement casts
-    // at fault time (DESIGN.md §15), reduced to the question the hint
-    // override needs: does one device hold a strict majority?
-    EnginePlacementView view(*this);
-    std::uint64_t host_votes = 0;
-    std::vector<std::uint64_t> dev_votes(_nxp.size(), 0);
-    std::uint64_t seen_pages[8];
-    unsigned seen = 0;
-    for (std::uint64_t arg : args) {
-        if (arg < 4096)
-            continue;
-        std::uint64_t page = arg & ~std::uint64_t(4095);
-        bool dup = false;
-        for (unsigned i = 0; i < seen; ++i)
-            dup = dup || seen_pages[i] == page;
-        if (dup || seen >= 8)
-            continue;
-        seen_pages[seen++] = page;
-        PageResidency pr = view.pageResidency(task.cr3, page);
-        if (!pr.mapped)
-            continue;
-        if (pr.holder < 0) {
-            host_votes += 1 + pr.hostAccesses;
-        } else if (static_cast<unsigned>(pr.holder) < dev_votes.size()) {
-            std::uint64_t touches =
-                static_cast<unsigned>(pr.holder) < pr.deviceAccesses.size()
-                    ? pr.deviceAccesses[pr.holder]
-                    : 0;
-            dev_votes[pr.holder] += 1 + touches;
-        }
-    }
-    std::uint64_t total = host_votes;
+    // The vote ResidencyAwarePlacement casts at fault time (DESIGN.md
+    // §15), reduced to the question the hint override needs: does one
+    // device hold a strict majority?
+    PageVotes votes =
+        tallyPageVotes(task.cr3, args, EnginePlacementView(*this));
     int best = -1;
-    for (unsigned d = 0; d < dev_votes.size(); ++d) {
-        total += dev_votes[d];
-        if (!dev_votes[d] ||
+    for (unsigned d = 0; d < votes.device.size(); ++d) {
+        if (!votes.device[d] ||
             _nxp[d].health == DeviceHealth::quarantined)
             continue;
-        if (best < 0 || dev_votes[d] > dev_votes[best])
+        if (best < 0 || votes.device[d] > votes.device[best])
             best = static_cast<int>(d);
     }
-    if (best >= 0 && dev_votes[best] * 2 > total)
+    if (best >= 0 && votes.device[best] * 2 > votes.total)
         return best;
     return -1;
-}
-
-void
-MigrationEngine::pumpQosQueues()
-{
-    if (!_qos.enabled)
-        return;
-    for (;;) {
-        unsigned budget = effectiveTenantBudget();
-        int pick = _tenants.pick(
-            [budget](unsigned) { return budget; },
-            [this](unsigned t) { return _qos.weight(t); },
-            _qos.agingDequeues);
-        if (pick < 0)
-            break;
-        if (_tenants.lastPickAged())
-            tenantStat("qos.aged_picks", static_cast<unsigned>(pick));
-        auto tenant = static_cast<unsigned>(pick);
-        QosPending p = std::move(_qosQueues[tenant].front());
-        _qosQueues[tenant].pop_front();
-        _qosQueuedPid.erase(p.task->pid);
-        _tenants.onDequeue(tenant);
-        // Deadline feasibility again, now that queueing burned part of
-        // the call's deadline budget.
-        Tick estimate = admissionEstimate(p.task->cr3, p.entry, tenant);
-        if (p.absDeadline && _qos.deadlineAdmission &&
-            _events.now() + estimate > p.absDeadline) {
-            tenantStat("qos.shed", tenant);
-            tenantStat("qos.shed.deadline_infeasible", tenant);
-            recordArrival(tenant, p.task->pid,
-                          QosArrival::Outcome::shedAtDequeue,
-                          ShedReason::deadlineInfeasible, estimate);
-            p.future->value = 0;
-            p.future->status = CallStatus::shedLoad;
-            p.future->shedReason = ShedReason::deadlineInfeasible;
-            p.future->done = true;
-            continue;
-        }
-        _tenants.charge(tenant);
-        tenantStat("qos.dequeued", tenant);
-        recordArrival(tenant, p.task->pid, QosArrival::Outcome::dequeued,
-                      ShedReason::none, estimate);
-        // A submit-time placement hint can go stale while the call sits
-        // in the queue (hot-page migration moved its data): re-vote the
-        // majority holder of the argument pages at dequeue time and
-        // re-point the hint when the data clearly lives elsewhere now.
-        if (_residency && p.placementHint >= 0) {
-            int holder = residencyMajorityDevice(*p.task, argsOf(p));
-            if (holder >= 0 && holder != p.placementHint) {
-                protoStat("qos.hint_revotes",
-                          static_cast<unsigned>(holder));
-                p.placementHint = holder;
-            }
-        }
-        admitCall(*p.task, p.entry, argsOf(p), p.stackTop, p.absDeadline,
-                  p.placementHint, std::move(p.future));
-    }
-}
-
-void
-MigrationEngine::cancelQueuedCall(int pid, unsigned tenant)
-{
-    auto &queue = _qosQueues[tenant];
-    for (auto it = queue.begin(); it != queue.end(); ++it) {
-        if (it->task->pid != pid)
-            continue;
-        it->future->value = 0;
-        it->future->status = CallStatus::cancelled;
-        it->future->done = true;
-        _qosQueuedPid.erase(pid);
-        _tenants.onDequeue(tenant);
-        _stats.inc("calls_failed");
-        _stats.inc("cancellations");
-        tenantStat("qos.cancelled_queued", tenant);
-        recordArrival(tenant, pid, QosArrival::Outcome::cancelledQueued,
-                      ShedReason::none, 0);
-        queue.erase(it);
-        return;
-    }
-    panic("queued call of pid %d missing from tenant %u's queue", pid,
-          tenant);
-}
-
-std::uint64_t
-MigrationEngine::runHostFunction(Task &task, VAddr entry,
-                                 const std::vector<std::uint64_t> &args,
-                                 VAddr stack_top)
-{
-    return submit(task, entry, args, stack_top).wait();
 }
 
 void
@@ -765,6 +496,15 @@ MigrationEngine::releaseHost()
 }
 
 void
+MigrationEngine::loadHostCr3(Addr cr3)
+{
+    if (_hostLoadedCr3 == cr3)
+        return;
+    _hostCore.mmu().setCr3(cr3);
+    _hostLoadedCr3 = cr3;
+}
+
+void
 MigrationEngine::startEntry(TaskExec &x)
 {
     Task &task = *x.task;
@@ -779,82 +519,49 @@ MigrationEngine::startEntry(TaskExec &x)
     runHostSegment(x);
 }
 
+template <class F>
+void
+MigrationEngine::resumeOnHost(TaskExec &x, Tick handler, F &&then)
+{
+    afterLive(_timing.wakeupToRun, x.task->pid, x.id, hostSide,
+              [this, handler,
+               then = std::forward<F>(then)](TaskExec &w) mutable {
+        loadHostCr3(w.task->cr3);
+        _hostCore.restoreContext(_kernel.resume(*w.task));
+        afterLive(_timing.ioctlExit + handler, w.task->pid, w.id, hostSide,
+                  std::move(then));
+    });
+}
+
 void
 MigrationEngine::dispatchWake(TaskExec &x)
 {
-    int pid = x.task->pid;
-    std::uint64_t id = x.id;
-    // Scheduler latency until the thread runs again, then the ioctl
-    // returns into the user-space migration handler.
-    after(_timing.wakeupToRun, [this, pid, id] {
-        TaskExec *w = live(pid, id);
-        if (!w) {
-            releaseHost();
-            return;
-        }
-        Task &task = *w->task;
-        if (_hostLoadedCr3 != task.cr3) {
-            _hostCore.mmu().setCr3(task.cr3);
-            _hostLoadedCr3 = task.cr3;
-        }
-        _hostCore.restoreContext(_kernel.resume(task));
-        after(_timing.ioctlExit, [this, pid, id] {
-            TaskExec *v = live(pid, id);
-            if (!v) {
-                releaseHost();
-                return;
-            }
-            MigrationDescriptor d = v->wakeDesc;
-            v->pendingWake = false;
-            handleHostDescriptor(*v, d);
-        });
+    resumeOnHost(x, 0, [this](TaskExec &v) {
+        MigrationDescriptor d = v.wakeDesc;
+        v.pendingWake = false;
+        handleHostDescriptor(v, d);
     });
 }
 
 void
 MigrationEngine::dispatchFallback(TaskExec &x)
 {
-    int pid = x.task->pid;
-    std::uint64_t id = x.id;
     // The kernel failed the migration and woke the thread; it resumes
-    // exactly like a migration return (scheduler latency, then the
-    // driver hands control back to user space), but the driver reports
-    // the failure and the runtime re-dispatches to the host twin.
-    after(_timing.wakeupToRun, [this, pid, id] {
-        TaskExec *w = live(pid, id);
-        if (!w) {
-            releaseHost();
-            return;
+    // exactly like a migration return, but the driver reports the
+    // failure and the runtime re-dispatches to the host twin. The saved
+    // context's PC still sits on the faulting NX target; the twin call
+    // repoints it before any fetch happens.
+    resumeOnHost(x, hostCycles(_timing.hostHandlerCycles),
+                 [this](TaskExec &v) {
+        v.pendingFallback = false;
+        CallFrame &top = v.frames.back();
+        VAddr twin = fallbackVa(v.task->cr3, top.target);
+        if (!twin) {
+            panic("host fallback dispatched for task %d without a "
+                  "registered twin of %#llx",
+                  v.task->pid, (unsigned long long)top.target);
         }
-        Task &task = *w->task;
-        if (_hostLoadedCr3 != task.cr3) {
-            _hostCore.mmu().setCr3(task.cr3);
-            _hostLoadedCr3 = task.cr3;
-        }
-        // The saved context's PC still sits on the faulting NX target;
-        // the re-dispatch below repoints it at the host twin before any
-        // fetch happens.
-        _hostCore.restoreContext(_kernel.resume(task));
-        after(_timing.ioctlExit +
-                  hostCycles(_timing.hostHandlerCycles),
-              [this, pid, id] {
-            TaskExec *v = live(pid, id);
-            if (!v) {
-                releaseHost();
-                return;
-            }
-            v->pendingFallback = false;
-            CallFrame &top = v->frames.back();
-            VAddr twin = fallbackVa(v->task->cr3, top.target);
-            if (!twin) {
-                panic("host fallback dispatched for task %d without a "
-                      "registered twin of %#llx",
-                      pid, (unsigned long long)top.target);
-            }
-            _hostCore.setupCall(twin, argsOf(top));
-            tracePoint(TracePoint::hostCallStart, pid, id, 0, twin);
-            runHostSegment(*v);
-        });
+        runHostCall(v, twin, argsOf(top));
     });
 }
 
@@ -871,9 +578,7 @@ MigrationEngine::handleHostDescriptor(TaskExec &x, MigrationDescriptor d)
       case DescriptorKind::nxpToHostCall: {
         if (top.callee == hostSide) {
             // (d) An NxP called a host function: run it here.
-            _hostCore.setupCall(d.target, argsOf(d));
-            tracePoint(TracePoint::hostCallStart, pid, x.id, 0, d.target);
-            runHostSegment(x);
+            runHostCall(x, d.target, argsOf(d));
             return;
         }
         // Device-to-device call: the target belongs to another NxP, so
@@ -884,35 +589,23 @@ MigrationEngine::handleHostDescriptor(TaskExec &x, MigrationDescriptor d)
             // runs the host twin right here — the host core is already
             // ours and the calling device just waits for its return
             // descriptor as usual. Without it, the call chain dies.
-            protoStat("rejected_submissions", to);
-            VAddr twin = _hostFallback ? fallbackVa(task.cr3, d.target) : 0;
-            if (!twin) {
-                failCall(x, CallStatus::deviceLost);
-                releaseHost();
+            VAddr twin = rejectToTwin(x, to, d.target);
+            if (!twin)
                 return;
-            }
-            protoStat("failovers", to);
             top.callee = hostSide;
-            _hostCore.setupCall(twin, argsOf(d));
-            tracePoint(TracePoint::hostCallStart, pid, x.id, 0, twin);
-            runHostSegment(x);
+            runHostCall(x, twin, argsOf(d));
             return;
         }
         tracePoint(TracePoint::hostDescBuild, pid, x.id, to, d.target);
-        MigrationDescriptor fwd = d;
         std::uint64_t id = x.id;
-        ensureNxpStack(task, to, [this, pid, id, fwd, to] {
-            after(_timing.ioctlEntry, [this, pid, id, fwd, to] {
-                TaskExec *w = live(pid, id);
-                if (!w) {
-                    releaseHost();
-                    return;
-                }
-                MigrationDescriptor f = fwd;
-                f.kind = DescriptorKind::hostToNxpCall;
-                f.cr3 = w->task->cr3;
-                f.nxpSp = currentNxpSp(*w->task, to);
-                hostSendDescriptor(*w, f, to);
+        ensureNxpStack(task, to, [this, pid, id, d, to] {
+            afterLive(_timing.ioctlEntry, pid, id, hostSide,
+                      [this, d, to](TaskExec &w) {
+                MigrationDescriptor fwd = d;
+                fwd.kind = DescriptorKind::hostToNxpCall;
+                fwd.cr3 = w.task->cr3;
+                fwd.nxpSp = currentNxpSp(*w.task, to);
+                hostSendDescriptor(w, fwd, to);
             });
         });
         return;
@@ -936,23 +629,8 @@ MigrationEngine::handleHostDescriptor(TaskExec &x, MigrationDescriptor d)
         }
         // A forwarded device-to-device call returned: relay the value
         // back to the device that is waiting for it.
-        unsigned from = top.caller;
-        std::uint64_t rv = d.retval;
-        std::uint64_t id = x.id;
-        tracePoint(TracePoint::hostDescBuild, pid, id, from);
-        after(_timing.ioctlEntry, [this, pid, id, rv, from] {
-            TaskExec *w = live(pid, id);
-            if (!w) {
-                releaseHost();
-                return;
-            }
-            MigrationDescriptor ret;
-            ret.kind = DescriptorKind::hostToNxpReturn;
-            ret.pid = static_cast<std::uint32_t>(pid);
-            ret.retval = rv;
-            ret.nxpSp = currentNxpSp(*w->task, from);
-            hostSendDescriptor(*w, ret, from);
-        });
+        tracePoint(TracePoint::hostDescBuild, pid, x.id, top.caller);
+        returnToNxp(x, top.caller, d.retval, _timing.ioctlEntry);
         return;
       }
 
@@ -963,28 +641,29 @@ MigrationEngine::handleHostDescriptor(TaskExec &x, MigrationDescriptor d)
 }
 
 void
-MigrationEngine::runHostSegment(TaskExec &x)
+MigrationEngine::runHostCall(TaskExec &x, VAddr va,
+                             std::span<const std::uint64_t> args)
 {
-    int pid = x.task->pid;
-    std::uint64_t id = x.id;
-    // Functional-first: the slice executes now, its time is charged as
-    // a continuation, and the core stays owned until the stop handler.
-    RunResult r = _hostCore.run();
-    after(r.elapsed, [this, pid, id, r] { handleHostStop(pid, id, r); });
+    _hostCore.setupCall(va, args);
+    tracePoint(TracePoint::hostCallStart, x.task->pid, x.id, 0, va);
+    runHostSegment(x);
 }
 
 void
-MigrationEngine::handleHostStop(int pid, std::uint64_t id, RunResult r)
+MigrationEngine::runHostSegment(TaskExec &x)
 {
-    TaskExec *xp = live(pid, id);
-    if (!xp) {
-        // The call was failed/cancelled while its segment's time was
-        // being charged; the segment's owner releases the core.
-        releaseHost();
-        return;
-    }
-    TaskExec &x = *xp;
+    // Functional-first: the slice executes now, its time is charged as
+    // a continuation, and the core stays owned until the stop handler.
+    RunResult r = _hostCore.run();
+    afterLive(r.elapsed, x.task->pid, x.id, hostSide,
+              [this, r](TaskExec &w) { handleHostStop(w, r); });
+}
+
+void
+MigrationEngine::handleHostStop(TaskExec &x, RunResult r)
+{
     Task &task = *x.task;
+    int pid = task.pid;
 
     switch (r.stop) {
       case Fault::trampoline: {
@@ -1014,22 +693,10 @@ MigrationEngine::handleHostStop(int pid, std::uint64_t id, RunResult r)
         }
         // (e) A nested host function finished: package the return and
         // ship it back to the calling device.
-        unsigned from = top.caller;
-        tracePoint(TracePoint::hostDescBuild, pid, id, from, rv);
-        after(hostCycles(_timing.hostHandlerCycles) + _timing.ioctlEntry,
-              [this, pid, id, rv, from] {
-                  TaskExec *w = live(pid, id);
-                  if (!w) {
-                      releaseHost();
-                      return;
-                  }
-                  MigrationDescriptor ret;
-                  ret.kind = DescriptorKind::hostToNxpReturn;
-                  ret.pid = static_cast<std::uint32_t>(pid);
-                  ret.retval = rv;
-                  ret.nxpSp = currentNxpSp(*w->task, from);
-                  hostSendDescriptor(*w, ret, from);
-              });
+        tracePoint(TracePoint::hostDescBuild, pid, x.id, top.caller, rv);
+        returnToNxp(x, top.caller, rv,
+                    hostCycles(_timing.hostHandlerCycles) +
+                        _timing.ioctlEntry);
         return;
       }
 
@@ -1063,29 +730,14 @@ MigrationEngine::handleHostStop(int pid, std::uint64_t id, RunResult r)
         // anything. Without a policy the answer is always "home" and
         // this is a straight pass-through.
         unsigned home = isa_tag - nxpIsaTag;
-        Placed p = decidePlacement(task, r.faultVa, home, hostSide);
+        Placed p = decidePlacement(x, r.faultVa, home, hostSide);
         if (p.toHost) {
-            protoStat("placement.host_steered", home);
-            startHostSteeredCall(x, r.faultVa, p.canonical, p.va, home);
+            runHostTwin(x, r.faultVa, p.canonical, p.va, home, true);
             return;
         }
         if (p.device != home)
             protoStat("placement.rebalanced", p.device);
-        // Speculative dual execution (DESIGN.md §16): when the policy's
-        // host-vs-device margin is thin, arm a race — the descriptor
-        // still goes out, but instead of yielding the core the thread's
-        // host twin runs speculatively. Leaf top-level calls only: a
-        // nested or saved-context call has device state the host twin
-        // cannot reproduce.
-        if (_spec && x.frames.empty() && task.nxpSavedCtx.empty() &&
-            _spec->shouldSpeculate(p.confidencePct)) {
-            VAddr twin = fallbackVa(task.cr3, p.canonical);
-            if (twin) {
-                x.specArmed = true;
-                x.specTwinVa = twin;
-            }
-        }
-        startHostToNxpCall(x, p.va, p.device, p.canonical);
+        startHostToNxpCall(x, p);
         return;
       }
 
@@ -1095,8 +747,44 @@ MigrationEngine::handleHostStop(int pid, std::uint64_t id, RunResult r)
         fatal("guest fault on the host core: %s at %#llx "
               "(pc %#llx, pid %d)",
               faultName(r.stop), (unsigned long long)r.faultVa,
-              (unsigned long long)_hostCore.pc(), task.pid);
+              (unsigned long long)_hostCore.pc(), pid);
     }
+}
+
+void
+MigrationEngine::runHostTwin(TaskExec &x, VAddr target, VAddr canonical,
+                             VAddr twin, unsigned device, bool steered)
+{
+    if (steered)
+        protoStat("placement.host_steered", device);
+    CallFrame f{hostSide, hostSide, _events.now()};
+    f.target = target;
+    f.canonical = canonical;
+    f.steered = steered;
+    f.nargs = MigrationDescriptor::maxArgs;
+    for (unsigned i = 0; i < MigrationDescriptor::maxArgs; ++i)
+        f.args[i] = _hostCore.arg(i);
+    x.frames.push_back(f);
+    tracePoint(TracePoint::hostNxFault, x.task->pid, x.id, device, target);
+    afterLive(_timing.nxFaultService + _timing.faultTrapExit +
+                  hostCycles(_timing.hostHandlerCycles),
+              x.task->pid, x.id, hostSide, [this, twin](TaskExec &w) {
+        runHostCall(w, twin, argsOf(w.frames.back()));
+    });
+}
+
+VAddr
+MigrationEngine::rejectToTwin(TaskExec &x, unsigned device, VAddr va)
+{
+    protoStat("rejected_submissions", device);
+    VAddr twin = _hostFallback ? fallbackVa(x.task->cr3, va) : 0;
+    if (twin) {
+        protoStat("failovers", device);
+    } else {
+        failCall(x, CallStatus::deviceLost);
+        releaseHost();
+    }
+    return twin;
 }
 
 void
@@ -1142,9 +830,10 @@ MigrationEngine::crossingCostEstimate() const
 }
 
 MigrationEngine::Placed
-MigrationEngine::decidePlacement(Task &task, VAddr target, unsigned home,
+MigrationEngine::decidePlacement(TaskExec &x, VAddr target, unsigned home,
                                  unsigned caller_device)
 {
+    Task &task = *x.task;
     Placed p;
     p.device = home;
     p.va = target;
@@ -1153,12 +842,8 @@ MigrationEngine::decidePlacement(Task &task, VAddr target, unsigned home,
 
     // A submit-time placement hint is consumed by the call's first
     // dispatch decision, before (and instead of) the policy.
-    int hint = -1;
-    auto e_it = _exec.find(task.pid);
-    if (e_it != _exec.end() && e_it->second.placementHint >= 0) {
-        hint = e_it->second.placementHint;
-        e_it->second.placementHint = -1;
-    }
+    int hint = x.placementHint;
+    x.placementHint = -1;
     if (hint >= 0 && static_cast<unsigned>(hint) < _nxp.size() &&
         _nxp[hint].health != DeviceHealth::quarantined &&
         !(caller_device != hostSide &&
@@ -1198,11 +883,11 @@ MigrationEngine::decidePlacement(Task &task, VAddr target, unsigned home,
     const Core &argsrc = q.fromDevice
                              ? *_nxp[caller_device].core
                              : static_cast<const Core &>(_hostCore);
-    q.args.reserve(MigrationDescriptor::maxArgs);
-    for (unsigned i = 0; i < MigrationDescriptor::maxArgs; ++i)
-        q.args.push_back(argsrc.arg(i));
+    static_assert(PlacementQuery::maxArgs == MigrationDescriptor::maxArgs);
+    for (unsigned i = 0; i < PlacementQuery::maxArgs; ++i)
+        q.args[i] = argsrc.arg(i);
 
-    PlacementCandidates c;
+    PlacementCandidates &c = _cands;
     c.deviceVa.assign(_nxp.size(), 0);
     if (home < c.deviceVa.size())
         c.deviceVa[home] = target;
@@ -1240,44 +925,6 @@ MigrationEngine::decidePlacement(Task &task, VAddr target, unsigned home,
 }
 
 void
-MigrationEngine::startHostSteeredCall(TaskExec &x, VAddr faulted,
-                                      VAddr canonical, VAddr twin,
-                                      unsigned home)
-{
-    Task &task = *x.task;
-    int pid = task.pid;
-    std::uint64_t id = x.id;
-    // Same shape (and timing) as a quarantine failover at the fault
-    // boundary: the NX fault already fired, so its service cost and the
-    // handler prologue are paid; then the handler re-points the call at
-    // the host twin instead of packaging a descriptor. The hijacked
-    // return address is in place, so the call completes exactly like a
-    // migration would have — just without ever leaving the host.
-    CallFrame f{hostSide, hostSide, _events.now()};
-    f.target = faulted;
-    f.canonical = canonical;
-    f.steered = true;
-    f.nargs = MigrationDescriptor::maxArgs;
-    for (unsigned i = 0; i < MigrationDescriptor::maxArgs; ++i)
-        f.args[i] = _hostCore.arg(i);
-    x.frames.push_back(f);
-    tracePoint(TracePoint::hostNxFault, pid, id, home, faulted);
-    after(_timing.nxFaultService + _timing.faultTrapExit +
-              hostCycles(_timing.hostHandlerCycles),
-          [this, pid, id, twin] {
-        TaskExec *w = live(pid, id);
-        if (!w) {
-            releaseHost();
-            return;
-        }
-        CallFrame &top = w->frames.back();
-        _hostCore.setupCall(twin, argsOf(top));
-        tracePoint(TracePoint::hostCallStart, pid, id, 0, twin);
-        runHostSegment(*w);
-    });
-}
-
-void
 MigrationEngine::recordPlacementOutcome(Task &task, const CallFrame &frame)
 {
     if (!_policy || !_policy->wantsFeedback() || frame.canonical == 0)
@@ -1300,19 +947,10 @@ MigrationEngine::recordPlacementOutcome(Task &task, const CallFrame &frame)
 // --- Speculative dual execution (DESIGN.md §16) --------------------------
 
 void
-MigrationEngine::setSpeculation(SpeculationManager *spec)
-{
-    _spec = spec;
-    if (_spec)
-        _spec->setConflictCallback([this] { specConflictAbort(); });
-}
-
-void
 MigrationEngine::launchSpeculation(TaskExec &x, unsigned device)
 {
     Task &task = *x.task;
     int pid = task.pid;
-    x.specArmed = false;
     VAddr twin = x.specTwinVa;
     x.specTwinVa = 0;
     if (_spec->active()) {
@@ -1330,10 +968,7 @@ MigrationEngine::launchSpeculation(TaskExec &x, unsigned device)
     // The thread is suspended and its context saved; the otherwise-idle
     // host core runs the twin. Everything below happens functionally at
     // this instant — the charged time elapses in the continuation.
-    if (_hostLoadedCr3 != task.cr3) {
-        _hostCore.mmu().setCr3(task.cr3);
-        _hostLoadedCr3 = task.cr3;
-    }
+    loadHostCr3(task.cr3);
     // A native-bridge call performs simulator-side effects that cannot
     // be buffered; the stub dooms the speculation and ends the slice.
     Core::NativeHook native = _hostCore.swapNativeHook([this](Core &c) {
@@ -1425,29 +1060,10 @@ MigrationEngine::commitHostSpec(TaskExec &x)
     // queue (same latencies as dispatchWake).
     _kernel.wake(task);
     tracePoint(TracePoint::hostWake, pid, x.id, device);
-    std::uint64_t id = x.id;
-    after(_timing.wakeupToRun, [this, pid, id, rv] {
-        TaskExec *w = live(pid, id);
-        if (!w) {
-            releaseHost();
-            return;
-        }
-        Task &t = *w->task;
-        if (_hostLoadedCr3 != t.cr3) {
-            _hostCore.mmu().setCr3(t.cr3);
-            _hostLoadedCr3 = t.cr3;
-        }
-        _hostCore.restoreContext(_kernel.resume(t));
-        after(_timing.ioctlExit, [this, pid, id, rv] {
-            TaskExec *v = live(pid, id);
-            if (!v) {
-                releaseHost();
-                return;
-            }
-            tracePoint(TracePoint::hostResume, pid, id);
-            _hostCore.finishHijackedCall(rv);
-            runHostSegment(*v);
-        });
+    resumeOnHost(x, 0, [this, rv](TaskExec &v) {
+        tracePoint(TracePoint::hostResume, v.task->pid, v.id);
+        _hostCore.finishHijackedCall(rv);
+        runHostSegment(v);
     });
 }
 
@@ -1500,105 +1116,71 @@ MigrationEngine::harvestSpecSample(int pid, std::uint64_t call_id)
 }
 
 void
-MigrationEngine::startHostToNxpCall(TaskExec &x, VAddr target,
-                                    unsigned device, VAddr canonical)
+MigrationEngine::startHostToNxpCall(TaskExec &x, const Placed &p)
 {
     Task &task = *x.task;
     int pid = task.pid;
     std::uint64_t id = x.id;
+    unsigned device = p.device;
+    VAddr target = p.va;
 
     if (side(device).health == DeviceHealth::quarantined) {
         // The kernel's fault handler consults the device health before
         // staging anything: a migration to a quarantined NxP is
-        // rejected on the spot. With fallback enabled and a host twin
-        // registered, the handler re-points the faulting call at the
-        // twin — the hijacked return address is already in place, so
-        // the call completes exactly like a migration would have.
-        protoStat("rejected_submissions", device);
-        // The rejection kills any armed race: the call never crosses.
-        x.specArmed = false;
-        x.specTwinVa = 0;
-        VAddr twin = _hostFallback ? fallbackVa(task.cr3, canonical) : 0;
-        if (!twin) {
-            failCall(x, CallStatus::deviceLost);
-            releaseHost();
-            return;
-        }
-        protoStat("failovers", device);
-        CallFrame f{hostSide, hostSide, _events.now()};
-        f.target = target;
-        f.canonical = canonical;
-        f.nargs = MigrationDescriptor::maxArgs;
-        for (unsigned i = 0; i < MigrationDescriptor::maxArgs; ++i)
-            f.args[i] = _hostCore.arg(i);
-        x.frames.push_back(f);
-        tracePoint(TracePoint::hostNxFault, pid, id, device, target);
-        after(_timing.nxFaultService + _timing.faultTrapExit +
-                  hostCycles(_timing.hostHandlerCycles),
-              [this, pid, id, twin] {
-            TaskExec *w = live(pid, id);
-            if (!w) {
-                releaseHost();
-                return;
-            }
-            CallFrame &top = w->frames.back();
-            _hostCore.setupCall(twin, argsOf(top));
-            tracePoint(TracePoint::hostCallStart, pid, id, 0, twin);
-            runHostSegment(*w);
-        });
+        // rejected on the spot, and with fallback enabled the handler
+        // re-points the faulting call at the host twin.
+        VAddr twin = rejectToTwin(x, device, p.canonical);
+        if (twin)
+            runHostTwin(x, target, p.canonical, twin, device, false);
         return;
     }
+    // Speculative dual execution (DESIGN.md §16): when the policy's
+    // host-vs-device margin is thin, arm a race — the descriptor still
+    // goes out, but instead of yielding the core the thread's host twin
+    // runs speculatively. Leaf top-level calls only: a nested or
+    // saved-context call has device state the host twin cannot
+    // reproduce.
+    if (_spec && x.frames.empty() && task.nxpSavedCtx.empty() &&
+        _spec->shouldSpeculate(p.confidencePct))
+        x.specTwinVa = fallbackVa(task.cr3, p.canonical);
 
     protoStat("host_to_nxp_calls", device);
-    {
-        CallFrame f{device, hostSide, _events.now()};
-        f.canonical = canonical;
-        x.frames.push_back(f);
-    }
+    CallFrame f{device, hostSide, _events.now()};
+    f.canonical = p.canonical;
+    x.frames.push_back(f);
 
     // Kernel NX fault service: decode, save the faulting address in the
     // task_struct, hijack the return address to the migration handler,
     // then trap-exit into the hijacked user-space handler.
     task.savedFaultAddr = target;
     tracePoint(TracePoint::hostNxFault, pid, id, device, target);
-    after(_timing.nxFaultService + _timing.faultTrapExit,
-          [this, pid, id, target, device] {
-              TaskExec *w0 = live(pid, id);
-              if (!w0) {
-                  releaseHost();
-                  return;
-              }
-              tracePoint(TracePoint::hostDescBuild, pid, id, device);
-              // First migration to this device: allocate the thread's
-              // NxP stack (Listing 1 lines 3-4).
-              ensureNxpStack(*w0->task, device,
-                             [this, pid, id, target, device] {
-                  // User-space handler gathers its (hijacked)
-                  // arguments, then ioctl(): package target, args,
-                  // CR3, PID, NxP SP into a descriptor.
-                  after(hostCycles(_timing.hostHandlerCycles) +
-                            _timing.ioctlEntry,
-                        [this, pid, id, target, device] {
-                      TaskExec *w = live(pid, id);
-                      if (!w) {
-                          releaseHost();
-                          return;
-                      }
-                      Task &t = *w->task;
-                      MigrationDescriptor d;
-                      d.kind = DescriptorKind::hostToNxpCall;
-                      d.pid = static_cast<std::uint32_t>(pid);
-                      d.target = target;
-                      d.cr3 = t.cr3;
-                      d.nxpSp = currentNxpSp(t, device);
-                      d.nargs = MigrationDescriptor::maxArgs;
-                      for (unsigned i = 0; i < MigrationDescriptor::maxArgs;
-                           ++i)
-                          d.args[i] = _hostCore.arg(i);
-                      hostSendDescriptor(*w, d, device);
-                  });
-              });
-          });
+    afterLive(_timing.nxFaultService + _timing.faultTrapExit, pid, id,
+              hostSide, [this, pid, id, target, device](TaskExec &w0) {
+        tracePoint(TracePoint::hostDescBuild, pid, id, device);
+        // First migration to this device: allocate the thread's NxP
+        // stack (Listing 1 lines 3-4).
+        ensureNxpStack(*w0.task, device, [this, pid, id, target, device] {
+            // User-space handler gathers its (hijacked) arguments, then
+            // ioctl(): package target, args, CR3, PID, NxP SP into a
+            // descriptor.
+            afterLive(hostCycles(_timing.hostHandlerCycles) +
+                          _timing.ioctlEntry,
+                      pid, id, hostSide,
+                      [this, pid, target, device](TaskExec &w) {
+                Task &t = *w.task;
+                MigrationDescriptor d;
+                d.kind = DescriptorKind::hostToNxpCall;
+                d.pid = static_cast<std::uint32_t>(pid);
+                d.target = target;
+                d.cr3 = t.cr3;
+                d.nxpSp = currentNxpSp(t, device);
+                d.nargs = MigrationDescriptor::maxArgs;
+                for (unsigned i = 0; i < MigrationDescriptor::maxArgs; ++i)
+                    d.args[i] = _hostCore.arg(i);
+                hostSendDescriptor(w, d, device);
+            });
+        });
+    });
 }
 
 void
@@ -1609,18 +1191,18 @@ MigrationEngine::completeCall(TaskExec &x, std::uint64_t value)
     x.future->done = true;
     _callsCompleted.inc();
     tracePoint(TracePoint::callComplete, x.task->pid, x.id, 0, value);
-    bool was_qos = x.qosAdmitted;
+    Addr cr3 = x.task->cr3;
+    VAddr entry = x.entry;
+    Tick service = _events.now() - x.admitted;
     unsigned tenant = x.tenant;
-    if (was_qos) {
-        // Feed the admission estimator with the observed end-to-end
-        // latency and give the tenant's freed budget slot away.
-        _qosModel.record(x.task->cr3, x.entry, _events.now() - x.admitted);
-        _tenants.onRetire(tenant);
-    }
     retireExec(x.task->pid);
     traceGauge(TraceGauge::inFlightCalls, 0, _exec.size());
-    if (was_qos)
-        pumpQosQueues();
+    if (_qos.enabled()) {
+        // Feed the admission estimator with the observed end-to-end
+        // latency and give the tenant's freed budget slot away.
+        _qos.recordService(cr3, entry, service);
+        _qos.retire(tenant);
+    }
     releaseHost();
 }
 
@@ -1628,9 +1210,7 @@ void
 MigrationEngine::hostSendDescriptor(TaskExec &x, MigrationDescriptor d,
                                     unsigned device)
 {
-    int pid = x.task->pid;
-    std::uint64_t id = x.id;
-    d.callId = id;
+    d.callId = x.id;
     if (d.kind == DescriptorKind::hostToNxpCall && !x.frames.empty()) {
         // Remember what the descriptor asks for in the call frame; the
         // host fallback path re-dispatches from this record if the
@@ -1640,27 +1220,17 @@ MigrationEngine::hostSendDescriptor(TaskExec &x, MigrationDescriptor d,
         top.nargs = d.nargs;
         top.args = d.args;
     }
-    after(_timing.descriptorPack, [this, pid, id, d, device] {
-        TaskExec *w0 = live(pid, id);
-        if (!w0) {
-            releaseHost();
-            return;
-        }
+    afterLive(_timing.descriptorPack, x.task->pid, x.id, hostSide,
+              [this, d, device](TaskExec &w0) {
         // Suspend TASK_KILLABLE, context switch away, then (and only
         // then) let the scheduler trigger the descriptor DMA
         // (Section IV-D).
-        Task &task = *w0->task;
-        _kernel.suspendForMigration(task, _hostCore.saveContext());
+        _kernel.suspendForMigration(*w0.task, _hostCore.saveContext());
+        int pid = w0.task->pid;
+        std::uint64_t id = w0.id;
         after(_timing.suspendSwitch, [this, pid, id, d, device] {
-            bool is_call = d.kind == DescriptorKind::hostToNxpCall;
-            auto fire = [this, pid, id, d, device] {
-                TaskExec *w = live(pid, id);
-                if (!w) {
-                    releaseHost();
-                    return;
-                }
-                Task &t = *w->task;
-                if (!_kernel.takeMigrationTrigger(t)) {
+            auto fire = [this, d, device](TaskExec &w) {
+                if (!_kernel.takeMigrationTrigger(*w.task)) {
                     panic("descriptor DMA requested without the "
                           "migration flag set");
                 }
@@ -1669,134 +1239,129 @@ MigrationEngine::hostSendDescriptor(TaskExec &x, MigrationDescriptor d,
                     // The device died between the fault and the DMA
                     // trigger: the kernel fails the migration instead
                     // of staging into a drained ring.
-                    failCall(*w, CallStatus::deviceLost);
+                    failCall(w, CallStatus::deviceLost);
                     releaseHost();
                     return;
                 }
-                if (s.h2d.full())
-                    s.h2dDeferred.push_back(d);
-                else
-                    stageHostToNxp(d, device);
+                stageHostToNxp(d, device);
                 // An armed race consumes the just-freed host core for
                 // the speculative twin instead of giving it back
                 // (DESIGN.md §16).
-                if (w->specArmed && d.kind == DescriptorKind::hostToNxpCall)
-                    launchSpeculation(*w, device);
+                if (w.specTwinVa && d.kind == DescriptorKind::hostToNxpCall)
+                    launchSpeculation(w, device);
                 else
                     releaseHost();
             };
-            if (is_call && _extraRoundTrip)
-                after(_extraRoundTrip, std::move(fire));
+            if (d.kind == DescriptorKind::hostToNxpCall && _extraRoundTrip)
+                afterLive(_extraRoundTrip, pid, id, hostSide,
+                          std::move(fire));
             else
-                fire();
+                guarded(pid, id, hostSide, fire);
         });
+    });
+}
+
+void
+MigrationEngine::returnToNxp(TaskExec &x, unsigned to, std::uint64_t rv,
+                             Tick delay)
+{
+    afterLive(delay, x.task->pid, x.id, hostSide,
+              [this, to, rv](TaskExec &w) {
+        MigrationDescriptor ret;
+        ret.kind = DescriptorKind::hostToNxpReturn;
+        ret.pid = static_cast<std::uint32_t>(w.task->pid);
+        ret.retval = rv;
+        ret.nxpSp = currentNxpSp(*w.task, to);
+        hostSendDescriptor(w, ret, to);
     });
 }
 
 void
 MigrationEngine::stageHostToNxp(MigrationDescriptor d, unsigned device)
 {
-    if (!_batching) {
-        fireHostToNxp(d, device);
+    NxpSide &s = side(device);
+    if (s.h2d.full()) {
+        s.h2dDeferred.push_back(d);
         return;
     }
-    NxpSide &s = side(device);
-    // Batched: the kernel stages the descriptor into the ring now but
-    // holds the DMA doorbell until the coalescing window closes, so
-    // back-to-back sends to the same device ship as one chained burst.
+    // The kernel stamps the link sequence number as it stages the
+    // descriptor; ship order is ring order, so the device expects
+    // exactly this sequence.
     d.seq = ++s.h2dSendSeq;
     unsigned slot = s.h2d.push();
     writeHostStaging(d, device, slot);
+    s.h2dOwner[slot] = {static_cast<int>(d.pid), d.callId};
     traceGauge(TraceGauge::h2dRing, device, s.h2d.inUse());
-    s.h2dBatch.push_back({slot, static_cast<int>(d.pid), d.callId});
-    if (!s.batchFlushScheduled) {
-        s.batchFlushScheduled = true;
-        std::uint64_t epoch = s.batchEpoch;
-        _events.scheduleIn(_timing.dmaBatchWindow, "h2d-batch-window",
-                           [this, device, epoch] {
-            NxpSide &t = side(device);
-            if (t.batchEpoch != epoch)
-                return; // quarantine tore the batch down under us
-            t.batchFlushScheduled = false;
-            flushH2dBatch(device);
-        });
+    if (!_batching) {
+        shipH2d(device, slot, 1);
+        return;
     }
+    // Batched: the kernel holds the DMA doorbell until the coalescing
+    // window closes, so back-to-back sends to the same device ship as
+    // one chained burst.
+    if (s.batchCount++ > 0)
+        return;
+    s.batchFirst = slot;
+    std::uint64_t epoch = s.batchEpoch;
+    _events.scheduleIn(_timing.dmaBatchWindow, "h2d-batch-window",
+                       [this, device, epoch] {
+        // A changed epoch: quarantine tore the batch down under us.
+        if (side(device).batchEpoch == epoch)
+            flushH2dBatch(device);
+    });
 }
 
 void
 MigrationEngine::flushH2dBatch(unsigned device)
 {
     NxpSide &s = side(device);
-    while (!s.h2dBatch.empty()) {
+    while (s.batchCount) {
         // One burst per maximal run of contiguous ring slots: the DMA
         // chain walks a flat region of the staging array, so a run
         // breaks where the ring wraps back to slot 0.
-        std::size_t n = 1;
-        while (n < s.h2dBatch.size() &&
-               s.h2dBatch[n].slot == s.h2dBatch[n - 1].slot + 1)
-            ++n;
-        std::vector<NxpSide::PendingBurst> run(s.h2dBatch.begin(),
-                                               s.h2dBatch.begin() + n);
-        s.h2dBatch.erase(s.h2dBatch.begin(), s.h2dBatch.begin() + n);
-
-        protoStat("doorbell_writes", device);
-        protoStat("batch.bursts", device);
-        if (n > 1)
-            protoStat("batch.coalesced", device, n - 1);
-        if (n > _batchMaxDescs) {
-            _batchMaxDescs = static_cast<unsigned>(n);
-            _stats.set("batch.descs_per_burst_max", _batchMaxDescs);
-        }
-        for (const auto &e : run)
-            tracePoint(TracePoint::dmaToNxpStart, e.pid, e.callId, device);
-        NxpPlatform *platform = s.platform;
-        // Resolve the burst's staging/mailbox region before the call:
-        // the completion lambda's capture moves `run` out from under
-        // any argument expression still referring to it.
-        Addr staging_pa = s.h2d.stagingPa(run.front().slot);
-        Addr mailbox_pa = s.h2d.mailboxPa(run.front().slot);
-        s.dma->copyHostToNxp(staging_pa, mailbox_pa,
-                             n * MigrationDescriptor::wireBytes,
-                             [this, platform, device,
-                              run = std::move(run)] {
-                                 for (const auto &e : run) {
-                                     ++side(device).progress;
-                                     tracePoint(TracePoint::dmaToNxpDone,
-                                                e.pid, e.callId, device);
-                                     platform->inboxArrived();
-                                 }
-                                 kickNxp(device);
-                             },
-                             static_cast<unsigned>(n));
+        unsigned first = s.batchFirst;
+        unsigned n = std::min(s.batchCount, s.h2d.slots() - first);
+        s.batchFirst = (first + n) % s.h2d.slots();
+        s.batchCount -= n;
+        shipH2d(device, first, n);
     }
 }
 
 void
-MigrationEngine::fireHostToNxp(MigrationDescriptor d, unsigned device)
+MigrationEngine::shipH2d(unsigned device, unsigned first, unsigned n)
 {
     NxpSide &s = side(device);
-    // The kernel stamps the link sequence number as it stages the
-    // descriptor; fire order is ring order, so the device expects
-    // exactly this sequence.
-    d.seq = ++s.h2dSendSeq;
-    unsigned slot = s.h2d.push();
-    writeHostStaging(d, device, slot);
-    tracePoint(TracePoint::dmaToNxpStart, static_cast<int>(d.pid),
-               d.callId, device);
-    traceGauge(TraceGauge::h2dRing, device, s.h2d.inUse());
     protoStat("doorbell_writes", device);
-    NxpPlatform *platform = s.platform;
-    int dpid = static_cast<int>(d.pid);
-    std::uint64_t cid = d.callId;
-    s.dma->copyHostToNxp(s.h2d.stagingPa(slot), s.h2d.mailboxPa(slot),
-                         MigrationDescriptor::wireBytes,
-                         [this, platform, device, dpid, cid] {
-                             ++side(device).progress;
-                             tracePoint(TracePoint::dmaToNxpDone, dpid, cid,
-                                        device);
-                             platform->inboxArrived();
+    if (_batching) {
+        protoStat("batch.bursts", device);
+        if (n > 1)
+            protoStat("batch.coalesced", device, n - 1);
+        if (n > _batchMaxDescs) {
+            _batchMaxDescs = n;
+            _stats.set("batch.descs_per_burst_max", _batchMaxDescs);
+        }
+    }
+    for (unsigned i = first; i < first + n; ++i) {
+        tracePoint(TracePoint::dmaToNxpStart, s.h2dOwner[i].pid,
+                   s.h2dOwner[i].callId, device);
+    }
+    // The DMA engine completes transfers in issue order and a slot is
+    // only restaged after the device consumed what landed in it, so the
+    // slot owners still name this burst's calls at completion.
+    s.dma->copyHostToNxp(s.h2d.stagingPa(first), s.h2d.mailboxPa(first),
+                         n * MigrationDescriptor::wireBytes,
+                         [this, device, first, n] {
+                             NxpSide &t = side(device);
+                             for (unsigned i = first; i < first + n; ++i) {
+                                 ++t.progress;
+                                 tracePoint(TracePoint::dmaToNxpDone,
+                                            t.h2dOwner[i].pid,
+                                            t.h2dOwner[i].callId, device);
+                                 t.platform->inboxArrived();
+                             }
                              kickNxp(device);
-                         });
+                         },
+                         n);
 }
 
 // --- NxP-side scheduling -------------------------------------------------
@@ -1841,20 +1406,11 @@ MigrationEngine::dispatchNxp(unsigned device)
                   _timing.nxpToNxpDram,
               [this, device] {
             NxpSide &t = side(device);
-            unsigned slot = t.h2d.front();
-            MigrationDescriptor::Wire w = readNxpInboxWire(device, slot);
-            // The scheduler verifies the slot before trusting any field
-            // in it; a corrupted burst is NAKed and retransmitted from
-            // the host's intact staging copy.
+            // A corrupted burst is NAKed and retransmitted from the
+            // host's intact staging copy.
             MigrationDescriptor d;
-            bool ok = MigrationDescriptor::wireIntact(w);
-            if (ok) {
-                d = MigrationDescriptor::fromWire(w);
-                ok = d.seq == t.h2dAcceptSeq + 1;
-                if (!ok)
-                    protoStat("seq_mismatches", device);
-            }
-            if (!ok) {
+            if (!verifyArrival(readNxpInboxWire(device, t.h2d.front()),
+                               t.h2dAcceptSeq, device, d)) {
                 nakH2d(device);
                 return;
             }
@@ -1865,7 +1421,7 @@ MigrationEngine::dispatchNxp(unsigned device)
             traceGauge(TraceGauge::h2dRing, device, t.h2d.inUse());
             t.platform->consumeInbox();
             // The freed slot unblocks a deferred host-side send.
-            if (!t.h2dDeferred.empty() && !t.h2d.full()) {
+            if (!t.h2dDeferred.empty()) {
                 MigrationDescriptor dd = t.h2dDeferred.front();
                 t.h2dDeferred.pop_front();
                 stageHostToNxp(dd, device);
@@ -1889,90 +1445,81 @@ void
 MigrationEngine::handleNxpDescriptor(unsigned device,
                                      MigrationDescriptor d)
 {
-    int pid = static_cast<int>(d.pid);
-
-    switch (d.kind) {
-      case DescriptorKind::hostToNxpCall: {
-        // Context switch into the thread using the descriptor's stack
-        // pointer.
-        after(nxpCycles(device, _timing.nxpCtxSwitchCycles),
-              [this, device, d, pid] {
-            TaskExec *x = live(pid, d.callId);
-            if (!x) {
-                // The call this descriptor belongs to was failed or
-                // cancelled while the descriptor was in flight.
-                protoStat("stale_descriptors", device);
-                releaseNxp(device);
-                return;
-            }
-            NxpSide &s = side(device);
-            Core &core = *s.core;
-            core.mmu().setCr3(d.cr3);
-            s.loadedCr3 = d.cr3;
-            core.setStackPointer(d.nxpSp);
-            core.setupCall(d.target, argsOf(d));
-            tracePoint(TracePoint::nxpCallStart, pid, d.callId, device,
-                       d.target);
-            runNxpSegment(*x, device);
-        });
-        return;
-      }
-
-      case DescriptorKind::hostToNxpReturn: {
-        // Context switch the thread back in and resume it where it
-        // faulted.
-        after(nxpCycles(device, _timing.nxpCtxSwitchCycles),
-              [this, device, d, pid] {
-            TaskExec *xp = live(pid, d.callId);
-            if (!xp) {
-                protoStat("stale_descriptors", device);
-                releaseNxp(device);
-                return;
-            }
-            NxpSide &s = side(device);
-            Core &core = *s.core;
-            TaskExec &x = *xp;
-            Task &task = *x.task;
-            if (task.nxpSavedCtx.empty() ||
-                task.nxpSavedCtx.back().device != device) {
-                panic("host->NxP return with mismatched saved NxP "
-                      "context");
-            }
-            if (s.loadedCr3 != task.cr3) {
-                core.mmu().setCr3(task.cr3);
-                s.loadedCr3 = task.cr3;
-            }
-            core.restoreContext(task.nxpSavedCtx.back().context);
-            task.nxpSavedCtx.pop_back();
-            tracePoint(TracePoint::nxpResume, pid, d.callId, device);
-
-            if (x.frames.empty() || x.frames.back().caller != device) {
-                panic("NxP %u resumed task %d without a matching call "
-                      "frame", device, pid);
-            }
-            CallFrame f = x.frames.back();
-            x.frames.pop_back();
-            ++task.migrations;
-            if (f.callee == hostSide) {
-                _nhnRoundtrips.inc();
-                _nhnTicks.inc(_events.now() - f.t0);
-            } else {
-                _stats.inc("nxp_to_nxp_roundtrips");
-            }
-            // Device-originated round trips feed the cost model too
-            // (the relayed-call feedback gap): the EWMAs would
-            // otherwise never learn from d2h or d2d calls.
-            recordPlacementOutcome(task, f);
-            core.finishHijackedCall(d.retval);
-            runNxpSegment(x, device);
-        });
-        return;
-      }
-
-      default:
+    if (d.kind != DescriptorKind::hostToNxpCall &&
+        d.kind != DescriptorKind::hostToNxpReturn) {
         panic("NxP %u received unexpected descriptor kind %s", device,
               descriptorKindName(d.kind));
     }
+    // Context switch the thread in: a call starts on the descriptor's
+    // stack pointer, a return resumes the thread where it faulted.
+    after(nxpCycles(device, _timing.nxpCtxSwitchCycles), [this, device, d] {
+        TaskExec *x = live(static_cast<int>(d.pid), d.callId);
+        if (!x) {
+            // The call this descriptor belongs to was failed or
+            // cancelled while the descriptor was in flight.
+            protoStat("stale_descriptors", device);
+            releaseNxp(device);
+        } else if (d.kind == DescriptorKind::hostToNxpCall) {
+            startNxpCall(*x, device, d);
+        } else {
+            resumeNxpCall(*x, device, d);
+        }
+    });
+}
+
+void
+MigrationEngine::startNxpCall(TaskExec &x, unsigned device,
+                              const MigrationDescriptor &d)
+{
+    NxpSide &s = side(device);
+    Core &core = *s.core;
+    core.mmu().setCr3(d.cr3);
+    s.loadedCr3 = d.cr3;
+    core.setStackPointer(d.nxpSp);
+    core.setupCall(d.target, argsOf(d));
+    tracePoint(TracePoint::nxpCallStart, x.task->pid, d.callId, device,
+               d.target);
+    runNxpSegment(x, device);
+}
+
+void
+MigrationEngine::resumeNxpCall(TaskExec &x, unsigned device,
+                               const MigrationDescriptor &d)
+{
+    NxpSide &s = side(device);
+    Core &core = *s.core;
+    Task &task = *x.task;
+    if (task.nxpSavedCtx.empty() ||
+        task.nxpSavedCtx.back().device != device) {
+        panic("host->NxP return with mismatched saved NxP context");
+    }
+    if (s.loadedCr3 != task.cr3) {
+        core.mmu().setCr3(task.cr3);
+        s.loadedCr3 = task.cr3;
+    }
+    core.restoreContext(task.nxpSavedCtx.back().context);
+    task.nxpSavedCtx.pop_back();
+    tracePoint(TracePoint::nxpResume, task.pid, d.callId, device);
+
+    if (x.frames.empty() || x.frames.back().caller != device) {
+        panic("NxP %u resumed task %d without a matching call frame",
+              device, task.pid);
+    }
+    CallFrame f = x.frames.back();
+    x.frames.pop_back();
+    ++task.migrations;
+    if (f.callee == hostSide) {
+        _nhnRoundtrips.inc();
+        _nhnTicks.inc(_events.now() - f.t0);
+    } else {
+        _stats.inc("nxp_to_nxp_roundtrips");
+    }
+    // Device-originated round trips feed the cost model too (the
+    // relayed-call feedback gap): the EWMAs would otherwise never learn
+    // from d2h or d2d calls.
+    recordPlacementOutcome(task, f);
+    core.finishHijackedCall(d.retval);
+    runNxpSegment(x, device);
 }
 
 void
@@ -1981,32 +1528,12 @@ MigrationEngine::runNxpSegment(TaskExec &x, unsigned device)
     int pid = x.task->pid;
     std::uint64_t id = x.id;
     NxpSide &s = side(device);
-    if (_chaos && _chaos->shouldWedgeNxpCore()) {
-        // The core wedges a few instructions into the segment (a hung
-        // accelerator pipeline): the architectural state stops
-        // advancing and no stop event is ever scheduled. The core
-        // stays busy forever; recovery is the health watchdog's job.
-        bool spec_window = _spec && _spec->matches(pid, id) &&
-                           _spec->device() == device;
-        if (spec_window)
-            _spec->beginDeviceWindow(device);
-        RunResult r = s.core->run(_chaos->wedgeProgress());
-        if (spec_window)
-            _spec->endDeviceWindow();
-        if (r.stop == Fault::none) {
-            s.segmentEnd = _events.now();
-            _stats.inc("chaos_core_wedges");
-            return;
-        }
-        // The segment was shorter than the wedge budget; it completed
-        // architecturally before the hang could bite.
-        s.segmentEnd = _events.now() + r.elapsed;
-        after(r.elapsed,
-              [this, pid, id, device, r] {
-                  handleNxpStop(pid, id, device, r);
-              });
-        return;
-    }
+    // Under chaos the core may wedge a few instructions into the
+    // segment (a hung accelerator pipeline): the architectural state
+    // stops advancing and no stop event is ever scheduled. The core
+    // stays busy forever; recovery is the health watchdog's job.
+    bool wedge = _chaos && _chaos->shouldWedgeNxpCore();
+    std::uint64_t budget = wedge ? _chaos->wedgeProgress() : ~0ull;
     // The racing twin of an active speculation is exempt from conflict
     // detection for exactly this slice: its stores are byte-identical
     // to the buffered host stores that would replay over them.
@@ -2014,11 +1541,18 @@ MigrationEngine::runNxpSegment(TaskExec &x, unsigned device)
                        _spec->device() == device;
     if (spec_window)
         _spec->beginDeviceWindow(device);
-    RunResult r = s.core->run();
+    RunResult r = s.core->run(budget);
     if (spec_window)
         _spec->endDeviceWindow();
+    if (wedge && r.stop == Fault::none) {
+        s.segmentEnd = _events.now();
+        _stats.inc("chaos_core_wedges");
+        return;
+    }
     // While the segment's time is being charged the busy core is
     // computing, not stalled; tell the watchdog when that excuse ends.
+    // (A segment shorter than a wedge budget completed architecturally
+    // before the hang could bite.)
     s.segmentEnd = _events.now() + r.elapsed;
     after(r.elapsed,
           [this, pid, id, device, r] {
@@ -2082,39 +1616,20 @@ void
 MigrationEngine::startNxpFaultMigration(TaskExec &x, VAddr target,
                                         unsigned device)
 {
-    int pid = x.task->pid;
-    std::uint64_t id = x.id;
     // The kernel classifies the target by the ISA tag in its PTE. The
     // upper table levels sit in the host's paging-structure caches, so
     // this is charged as a single leaf read; the value is fetched with
     // an untimed walk.
-    after(_timing.hostToHostDram, [this, pid, id, target, device] {
-        TaskExec *wp = live(pid, id);
-        if (!wp) {
-            releaseNxp(device);
-            return;
-        }
-        TaskExec &w = *wp;
+    afterLive(_timing.hostToHostDram, x.task->pid, x.id, device,
+              [this, target, device](TaskExec &w) {
         Task &task = *w.task;
+        int pid = task.pid;
+        std::uint64_t id = w.id;
         Core &core = *side(device).core;
 
-        Addr table = task.cr3;
-        std::uint64_t entry = 0;
-        bool present = false;
-        for (int level = 3; level >= 0; --level) {
-            std::uint64_t raw = 0;
-            _mem.readInt(Requester::debug,
-                         table + 8ull * tableIndex(target, level), 8, raw);
-            if (!(raw & pte::present))
-                break;
-            if (level == 0 || (raw & pte::pageSize)) {
-                entry = raw;
-                present = true;
-                break;
-            }
-            table = pte::entryAddr(raw);
-        }
-        if (!present) {
+        int level = 0;
+        std::uint64_t entry = leafPte(task.cr3, target, level);
+        if (!entry) {
             fatal("guest on NxP %u jumped to unmapped address %#llx",
                   device, (unsigned long long)target);
         }
@@ -2143,7 +1658,7 @@ MigrationEngine::startNxpFaultMigration(TaskExec &x, VAddr target,
             // the policy may rebalance onto another device's twin or —
             // if it says crossing loses — route the relay straight to
             // the host twin.
-            Placed p = decidePlacement(task, target, dest, device);
+            Placed p = decidePlacement(w, target, dest, device);
             canonical = p.canonical;
             if (p.toHost) {
                 protoStat("placement.host_steered", dest);
@@ -2173,20 +1688,14 @@ MigrationEngine::startNxpFaultMigration(TaskExec &x, VAddr target,
         // scheduler); the device core frees up once the send completes.
         task.nxpSavedCtx.push_back(
             {device, core.saveContext(), core.stackPointer()});
-        {
-            CallFrame f{dest, device, _events.now()};
-            f.canonical = canonical;
-            w.frames.push_back(f);
-        }
+        CallFrame f{dest, device, _events.now()};
+        f.canonical = canonical;
+        w.frames.push_back(f);
 
         if (_extraRoundTrip) {
-            after(_extraRoundTrip, [this, pid, id, d, device] {
-                TaskExec *v = live(pid, id);
-                if (!v) {
-                    releaseNxp(device);
-                    return;
-                }
-                deviceSendToHost(*v, d, device);
+            afterLive(_extraRoundTrip, pid, id, device,
+                      [this, d, device](TaskExec &v) {
+                deviceSendToHost(v, d, device);
             });
         } else {
             deviceSendToHost(w, d, device);
@@ -2215,10 +1724,7 @@ MigrationEngine::deviceSendToHost(TaskExec &x, MigrationDescriptor d,
                 releaseNxp(device);
                 return;
             }
-            if (s.d2h.full())
-                s.d2hDeferred.push_back(d);
-            else
-                fireNxpToHost(d, device);
+            fireNxpToHost(d, device);
             releaseNxp(device);
         });
     });
@@ -2228,6 +1734,10 @@ void
 MigrationEngine::fireNxpToHost(MigrationDescriptor d, unsigned device)
 {
     NxpSide &s = side(device);
+    if (s.d2h.full()) {
+        s.d2hDeferred.push_back(d);
+        return;
+    }
     d.seq = ++s.d2hSendSeq;
     unsigned slot = s.d2h.push();
     writeNxpOutbox(d, device, slot);
@@ -2270,17 +1780,9 @@ void
 MigrationEngine::processHostInbox(unsigned device)
 {
     NxpSide &s = side(device);
-    unsigned slot = s.d2h.front();
-    MigrationDescriptor::Wire w = readHostInboxWire(device, slot);
     MigrationDescriptor d;
-    bool ok = MigrationDescriptor::wireIntact(w);
-    if (ok) {
-        d = MigrationDescriptor::fromWire(w);
-        ok = d.seq == s.d2hAcceptSeq + 1;
-        if (!ok)
-            protoStat("seq_mismatches", device);
-    }
-    if (!ok) {
+    if (!verifyArrival(readHostInboxWire(device, s.d2h.front()),
+                       s.d2hAcceptSeq, device, d)) {
         nakD2h(device);
         return;
     }
@@ -2290,7 +1792,7 @@ MigrationEngine::processHostInbox(unsigned device)
     --s.d2hLanded;
     s.d2h.pop();
     traceGauge(TraceGauge::d2hRing, device, s.d2h.inUse());
-    if (!s.d2hDeferred.empty() && !s.d2h.full()) {
+    if (!s.d2hDeferred.empty()) {
         MigrationDescriptor dd = s.d2hDeferred.front();
         s.d2hDeferred.pop_front();
         fireNxpToHost(dd, device);
@@ -2355,14 +1857,25 @@ MigrationEngine::processHostInbox(unsigned device)
 
 // --- Link integrity (NAK / retransmit / timeout) -------------------------
 
+bool
+MigrationEngine::verifyArrival(const MigrationDescriptor::Wire &w,
+                               std::uint64_t accepted, unsigned device,
+                               MigrationDescriptor &d)
+{
+    if (!MigrationDescriptor::wireIntact(w))
+        return false;
+    d = MigrationDescriptor::fromWire(w);
+    if (d.seq == accepted + 1)
+        return true;
+    protoStat("seq_mismatches", device);
+    return false;
+}
+
 void
 MigrationEngine::nakH2d(unsigned device)
 {
     NxpSide &s = side(device);
-    protoStat("naks", device);
-    if (++s.h2dRetries > _retryBudget)
-        unrecoverable("host->NxP", device);
-    protoStat("retries", device);
+    countRetry(s.h2dRetries, "host->NxP", device);
     // The corrupt arrival is consumed; the retransmission will signal a
     // fresh one. The host's staging copy of the head slot is intact, so
     // the NAK just replays its DMA burst.
@@ -2383,10 +1896,7 @@ void
 MigrationEngine::nakD2h(unsigned device)
 {
     NxpSide &s = side(device);
-    protoStat("naks", device);
-    if (++s.d2hRetries > _retryBudget)
-        unrecoverable("NxP->host", device);
-    protoStat("retries", device);
+    countRetry(s.d2hRetries, "NxP->host", device);
     // The landed copy is trash; replay the outbox slot's burst. The
     // watchdog armed at first fire keeps covering the retransmission's
     // MSI, which may itself be lost.
@@ -2426,8 +1936,14 @@ MigrationEngine::armD2hWatchdog(unsigned device, std::uint64_t seq)
 }
 
 void
-MigrationEngine::unrecoverable(const char *link, unsigned device)
+MigrationEngine::countRetry(unsigned &retries, const char *link,
+                            unsigned device)
 {
+    protoStat("naks", device);
+    if (++retries <= _retryBudget) {
+        protoStat("retries", device);
+        return;
+    }
     fatal("unrecoverable fabric fault: descriptor on the %s link of "
           "NxP %u still corrupt after %u retransmissions%s",
           link, device, _retryBudget,
@@ -2452,13 +1968,10 @@ MigrationEngine::killDevice(unsigned device)
 bool
 MigrationEngine::cancelCall(int pid)
 {
-    auto qit = _qosQueuedPid.find(pid);
-    if (qit != _qosQueuedPid.end()) {
-        // The call never entered the engine; lift it straight out of
-        // its tenant's submission queue.
-        cancelQueuedCall(pid, qit->second);
+    // A queued call never entered the engine; the front door lifts it
+    // straight out of its tenant's submission queue.
+    if (_qos.cancelQueued(pid))
         return true;
-    }
     auto it = _exec.find(pid);
     if (it == _exec.end() || it->second.future->done)
         return false;
@@ -2484,16 +1997,9 @@ MigrationEngine::heartbeat()
     // Deadlines first: a stalled call on a wedged device should report
     // deadlineExceeded when the caller asked for a bound, even if the
     // same beat would also quarantine the device.
-    std::vector<int> late;
-    for (const auto &kv : _exec) {
-        if (kv.second.deadline && now >= kv.second.deadline)
-            late.push_back(kv.first);
-    }
-    for (int pid : late) {
-        auto it = _exec.find(pid);
-        if (it != _exec.end())
-            failCall(it->second, CallStatus::deadlineExceeded);
-    }
+    failWhere(
+        [now](const TaskExec &x) { return x.deadline && now >= x.deadline; },
+        CallStatus::deadlineExceeded);
 
     // Then per-device progress: a device owing work must show forward
     // progress between beats, unless its core is legitimately inside a
@@ -2551,7 +2057,7 @@ MigrationEngine::quarantineDevice(unsigned device)
         return;
     s.health = DeviceHealth::quarantined;
     protoStat("quarantines", device);
-    if (_qos.enabled) {
+    if (_qos.enabled()) {
         // The capacity the fabric just lost propagates into admission:
         // effectiveTenantBudget() shrinks with the alive-device count,
         // and this counter's _dev# split records who took it away.
@@ -2568,31 +2074,42 @@ MigrationEngine::quarantineDevice(unsigned device)
     s.d2hLanded = 0;
     // An open batch window dies with the rings; the epoch bump makes a
     // pending window-close event a no-op.
-    s.h2dBatch.clear();
-    s.batchFlushScheduled = false;
+    s.batchCount = 0;
     ++s.batchEpoch;
 
+    failWhere(
+        [device](const TaskExec &x) {
+            return touches(x.frames, *x.task, device);
+        },
+        CallStatus::deviceLost);
+}
+
+template <class Pred>
+void
+MigrationEngine::failWhere(Pred pred, CallStatus status)
+{
     // failCall erases from _exec, so sweep over a PID snapshot.
     std::vector<int> pids;
     for (const auto &kv : _exec) {
-        if (execTouches(kv.second, device))
+        if (pred(kv.second))
             pids.push_back(kv.first);
     }
     for (int pid : pids) {
         auto it = _exec.find(pid);
         if (it != _exec.end())
-            failCall(it->second, CallStatus::deviceLost);
+            failCall(it->second, status);
     }
 }
 
 bool
-MigrationEngine::execTouches(const TaskExec &x, unsigned device) const
+MigrationEngine::touches(std::span<const CallFrame> frames, const Task &task,
+                         unsigned device)
 {
-    for (const CallFrame &f : x.frames) {
+    for (const CallFrame &f : frames) {
         if (f.callee == device || f.caller == device)
             return true;
     }
-    for (const auto &ctx : x.task->nxpSavedCtx) {
+    for (const auto &ctx : task.nxpSavedCtx) {
         if (ctx.device == device)
             return true;
     }
@@ -2642,20 +2159,17 @@ MigrationEngine::failCall(TaskExec &x, CallStatus status)
     // reusable (resubmit, teardown). In-flight continuations and
     // descriptors of this call die against the generation token.
     Task &task = *x.task;
-    bool was_qos = x.qosAdmitted;
     unsigned tenant = x.tenant;
     _kernel.removeFromRunQueue(task);
     _kernel.abortMigration(task);
     task.nxpSavedCtx.clear();
     retireExec(task.pid);
     traceGauge(TraceGauge::inFlightCalls, 0, _exec.size());
-    if (was_qos) {
-        // Failed calls free the tenant's budget slot like completions,
-        // but deliberately don't feed the cost model — a deadline kill
-        // or device loss is not a service-time sample.
-        _tenants.onRetire(tenant);
-        pumpQosQueues();
-    }
+    // Failed calls free the tenant's budget slot like completions, but
+    // deliberately don't feed the cost model — a deadline kill or
+    // device loss is not a service-time sample.
+    if (_qos.enabled())
+        _qos.retire(tenant);
 }
 
 bool
@@ -2676,15 +2190,9 @@ MigrationEngine::canFailover(const TaskExec &x) const
     if (x.task->state != TaskState::onNxp || x.pendingWake ||
         x.pendingFallback)
         return false;
-    for (std::size_t i = 0; i + 1 < x.frames.size(); ++i) {
-        if (x.frames[i].callee == device || x.frames[i].caller == device)
-            return false;
-    }
-    for (const auto &ctx : x.task->nxpSavedCtx) {
-        if (ctx.device == device)
-            return false;
-    }
-    return fallbackVa(x.task->cr3, top.target) != 0;
+    std::span<const CallFrame> deeper(x.frames.data(), x.frames.size() - 1);
+    return !touches(deeper, *x.task, device) &&
+           fallbackVa(x.task->cr3, top.target) != 0;
 }
 
 void

@@ -44,7 +44,6 @@
 #include <map>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "flick/call_future.hh"
@@ -53,7 +52,7 @@
 #include "flick/nxp_platform.hh"
 #include "flick/qos.hh"
 #include "flick/ring.hh"
-#include "policy/cost_model.hh"
+#include "policy/policy.hh"
 #include "isa/core.hh"
 #include "mem/dma.hh"
 #include "mem/irq.hh"
@@ -68,8 +67,10 @@ namespace flick
 
 class ChaosController;
 class PlacementPolicy;
+class ResidencyTracker;
 class SpeculationManager;
 struct EnginePlacementView;
+struct SystemConfig;
 
 /**
  * Health of one NxP device, as the driver's watchdog sees it.
@@ -87,18 +88,43 @@ enum class DeviceHealth
     quarantined,
 };
 
-/** Printable health-state name. */
-const char *deviceHealthName(DeviceHealth health);
-
 /**
  * Drives threads across the ISA boundary.
  */
 class MigrationEngine
 {
   public:
-    MigrationEngine(EventQueue &events, MemSystem &mem,
-                    const TimingConfig &timing, Kernel &kernel,
-                    IrqController &irq, Core &host_core);
+    /**
+     * The opt-in layers the engine consults, wired once at construction;
+     * none is owned. A null policy, residency tracker or speculation
+     * manager keeps that layer's paths unreachable: no counters, no
+     * extra events, tick-for-tick identical runs.
+     */
+    struct Layers
+    {
+        //! Decides whether the descriptor watchdogs are armed; its seed
+        //! names unrecoverable faults. The engine never draws from it.
+        ChaosController *chaos = nullptr;
+        //! Passive protocol milestones and gauges (DESIGN.md §10).
+        Tracer *tracer = nullptr;
+        //! Consulted at every NX-fault dispatch (DESIGN.md §11); null
+        //! keeps the paper's link-time pinning.
+        PlacementPolicy *policy = nullptr;
+        //! Answers the policy view's pageResidency() (DESIGN.md §15).
+        ResidencyTracker *residency = nullptr;
+        //! Races low-confidence calls against their host twin (§16).
+        SpeculationManager *spec = nullptr;
+    };
+
+    /**
+     * Wire the engine to the machine. Of @p config it reads the timing,
+     * NxP stack size, retry budget, call deadline, host fallback,
+     * health strike limit, batching and QoS settings; @p config must
+     * outlive the engine.
+     */
+    MigrationEngine(EventQueue &events, MemSystem &mem, Kernel &kernel,
+                    IrqController &irq, Core &host_core,
+                    const SystemConfig &config, const Layers &layers);
 
     /**
      * Register one NxP device (in device-id order, starting at 0).
@@ -128,8 +154,8 @@ class MigrationEngine
     {
         /**
          * Relative completion deadline for this call; 0 inherits the
-         * engine-wide setCallDeadline() value. A nonzero deadline arms
-         * the heartbeat watchdog (like setCallDeadline does).
+         * engine-wide SystemConfig::callDeadline. A nonzero deadline
+         * arms the heartbeat watchdog.
          */
         Tick deadline = 0;
         /**
@@ -151,24 +177,8 @@ class MigrationEngine
      * @param stack_top Initial host stack pointer.
      */
     CallFuture submit(Task &task, VAddr entry,
-                      const std::vector<std::uint64_t> &args,
-                      VAddr stack_top, const SubmitOptions &opts);
-
-    /** submit() with default options. */
-    CallFuture
-    submit(Task &task, VAddr entry,
-           const std::vector<std::uint64_t> &args, VAddr stack_top)
-    {
-        return submit(task, entry, args, stack_top, SubmitOptions());
-    }
-
-    /**
-     * Blocking convenience: submit() and wait. Kept for callers that
-     * want the pre-CallFuture synchronous behavior.
-     */
-    std::uint64_t runHostFunction(Task &task, VAddr entry,
-                                  const std::vector<std::uint64_t> &args,
-                                  VAddr stack_top);
+                      std::span<const std::uint64_t> args, VAddr stack_top,
+                      const SubmitOptions &opts);
 
     /**
      * Free the NxP stacks @p task accumulated (thread teardown). The
@@ -181,148 +191,15 @@ class MigrationEngine
 
     /**
      * Inject extra latency per migration round trip, emulating the
-     * prior-work systems of Table II / Figure 5's dashed lines.
+     * prior-work systems of Table II / Figure 5's dashed lines. The
+     * benches change it between runs of one machine.
      */
     void setExtraRoundTripLatency(Tick t) { _extraRoundTrip = t; }
 
-    /** Bytes of NxP stack allocated per thread on first migration. */
-    void setNxpStackBytes(std::uint64_t b) { _nxpStackBytes = b; }
-
-    /**
-     * Attach the machine's chaos controller. The engine never draws
-     * from it; it only uses it to decide whether to arm the descriptor
-     * watchdogs (pointless without fault injection) and to report the
-     * chaos seed in unrecoverable-fault diagnostics.
-     */
-    void setChaos(ChaosController *chaos) { _chaos = chaos; }
-
-    /**
-     * Attach the tracer. The engine emits a milestone at every protocol
-     * step of every in-flight call plus ring-occupancy / in-flight-call
-     * gauges (DESIGN.md §10). Purely passive: the tracer never schedules
-     * events, so traced and untraced runs are tick-for-tick identical.
-     */
-    void setTracer(Tracer *tracer) { _tracer = tracer; }
-
-    /**
-     * Consecutive retransmissions tolerated per link before the
-     * simulation dies with an unrecoverable-corruption diagnostic.
-     */
-    void setRetryBudget(unsigned budget) { _retryBudget = budget; }
-
-    // --- Descriptor batching -------------------------------------------
-
-    /**
-     * Enable h2d descriptor batching: a staged descriptor opens a
-     * per-device coalescing window (TimingConfig::dmaBatchWindow);
-     * descriptors staged for the same device inside the window ship as
-     * one chained DMA burst with one doorbell write, charged
-     * TimingConfig::dmaBurstTransfer(). Off (the default) every
-     * descriptor fires its own burst immediately and the event stream
-     * is tick-for-tick identical to the pre-batching engine. Batching
-     * trades up to one window of added crossing latency for fewer
-     * doorbells under storm load; results are value-identical either
-     * way (tests/fabric_scale_test.cpp asserts both properties).
-     */
-    void setBatching(bool on) { _batching = on; }
-
-    // --- Multi-tenant QoS & overload protection (DESIGN.md §14) --------
-
-    /**
-     * Configure the per-tenant QoS front door (tenant submission
-     * queues, weighted fair dequeue, in-flight budgets and the
-     * deadline-aware admission test). With cfg.enabled false (the
-     * default) submit() takes exactly the pre-QoS path: no container
-     * is touched, no counter is bumped and every run is tick-for-tick
-     * identical to a build without the subsystem.
-     */
-    void setQos(const QosConfig &cfg) { _qos = cfg; }
-
-    /** The active QoS configuration. */
-    const QosConfig &qosConfig() const { return _qos; }
-
-    /**
-     * Record every QoS front-door decision (admitted / queued / shed /
-     * dequeued / cancelled) into arrivalTrace(). Passive debug
-     * instrumentation; off (the default) allocates nothing.
-     */
-    void setArrivalTrace(bool on) { _arrivalTraceOn = on; }
-
-    /** The recorded front-door decisions (setArrivalTrace). */
-    const std::vector<QosArrival> &arrivalTrace() const { return _arrivals; }
-
-    /**
-     * Register @p cr3 as a tenant (idempotent), assigning tenant ids in
-     * registration order — FlickSystem::load() calls this per process,
-     * so tenant k is the k-th loaded process and the per-tenant counter
-     * suffix "_cr3#k" is stable across runs.
-     */
-    unsigned registerTenant(Addr cr3);
-
-    /** Tenant id of @p cr3 (registering it on first sight). */
-    unsigned tenantIndex(Addr cr3) { return registerTenant(cr3); }
-
-    /** Calls of @p tenant admitted into the engine and not yet retired. */
-    unsigned qosInFlight(unsigned tenant) const
-    {
-        return _tenants.inFlight(tenant);
-    }
-
-    /** Calls of @p tenant waiting in its submission queue. */
-    unsigned qosQueued(unsigned tenant) const
-    {
-        return _tenants.queued(tenant);
-    }
-
-    /**
-     * The per-tenant in-flight budget after capacity-loss scaling:
-     * QosConfig::tenantInFlight times the alive fraction of the fabric
-     * (a quarantined device shrinks every tenant's budget), never below
-     * one.
-     */
-    unsigned effectiveTenantBudget() const;
-
-    /**
-     * The admission test's completion-time estimate for a call by
-     * @p cr3 to @p entry: the per-call service estimate (placement
-     * policy EWMAs, then the QoS layer's own end-to-end model, then the
-     * analytic crossingCostEstimate() floor) plus the tenant's own
-     * backlog serialized over the alive share of the fabric. Pure and
-     * side-effect free.
-     */
-    Tick admissionEstimate(Addr cr3, VAddr entry, unsigned tenant) const;
-
-    /** The QoS layer's learned end-to-end cost model. */
-    const CallCostModel &qosCostModel() const { return _qosModel; }
+    /** The multi-tenant QoS front door (DESIGN.md §14). */
+    QosFrontDoor &qos() { return _qos; }
 
     // --- Device health, deadlines and failover -------------------------
-
-    /**
-     * Per-call deadline: a submitted call that has not completed after
-     * this much simulated time fails with status deadlineExceeded
-     * (checked at device-heartbeat granularity). 0 disables deadlines;
-     * a nonzero deadline arms the heartbeat, so it perturbs the
-     * fault-free event stream — which is why it is opt-in.
-     */
-    void setCallDeadline(Tick t) { _callDeadline = t; }
-
-    /**
-     * Enable the host-native fallback path: a call that fails because
-     * its target device is lost is re-dispatched to the function's
-     * host-ISA twin (registerHostFallback) instead of failing, when the
-     * call's state permits re-execution (a leaf call with no context
-     * parked on the dead device).
-     */
-    void setHostFallback(bool on) { _hostFallback = on; }
-
-    /**
-     * Heartbeats in a row without forward progress before an NxP with
-     * outstanding work is quarantined (first strike marks it suspect).
-     */
-    void setHealthStrikeLimit(unsigned strikes)
-    {
-        _strikeLimit = strikes ? strikes : 1;
-    }
 
     /**
      * Register @p host_va as the host-ISA twin of @p va in address
@@ -335,37 +212,6 @@ class MigrationEngine
     {
         _fallback[{cr3, va}] = host_va;
     }
-
-    // --- Placement policy (DESIGN.md §11) ------------------------------
-
-    /**
-     * Attach the placement policy consulted at every NX-fault dispatch.
-     * nullptr (the default) keeps dispatch on the paper's link-time
-     * pinning, tick-for-tick identical to the pre-policy engine. The
-     * engine does not own the policy.
-     */
-    void setPlacementPolicy(PlacementPolicy *policy) { _policy = policy; }
-
-    /**
-     * Attach the residency tracker (DESIGN.md §15). The policy view's
-     * pageResidency() then answers from its per-page counters; without
-     * a tracker the view reports every page unmapped and residency-
-     * aware placement degrades to queue-depth balancing. Not owned.
-     */
-    void setResidencyTracker(ResidencyTracker *tracker)
-    {
-        _residency = tracker;
-    }
-
-    /**
-     * Attach the speculation manager (DESIGN.md §16). Low-confidence
-     * host-originated calls then race their host twin against the
-     * migration and commit whichever side finishes first. Registers the
-     * engine's conflict callback on @p spec. nullptr (the default)
-     * keeps every spec path unreachable: no flick.spec.* counters, no
-     * extra events, tick-for-tick identical runs. Not owned.
-     */
-    void setSpeculation(SpeculationManager *spec);
 
     /**
      * Register @p twin_va as @p canonical's text for @p device (the
@@ -411,8 +257,10 @@ class MigrationEngine
 
   private:
     friend struct EnginePlacementView;
+    friend class QosFrontDoor;
 
-    /** "Device" id of the host side in a call frame. */
+    /** "Device" id of the host side in a call frame, and the host core
+     *  in the continuation guard. */
     static constexpr unsigned hostSide = ~0u;
 
     /**
@@ -438,43 +286,39 @@ class MigrationEngine
         bool steered = false;
     };
 
-    /** Execution state of one in-flight submitted call. */
-    struct TaskExec
+    /**
+     * Execution state of one in-flight submitted call, headed by what
+     * the call asked for (its entry parameters are consumed by the
+     * first host dispatch).
+     */
+    struct TaskExec : CallRequest
     {
-        Task *task = nullptr;
         std::shared_ptr<CallFutureState> future;
         std::vector<CallFrame> frames;
         //! Generation token. PIDs are reused across calls; continuation
         //! events and descriptors carry (pid, id) and are dropped when
         //! the id no longer matches (the call failed or was cancelled).
         std::uint64_t id = 0;
-        //! Absolute completion deadline; 0 = none.
-        Tick deadline = 0;
-        //! Entry-call parameters, consumed by the first host dispatch.
-        VAddr entry = 0;
-        std::uint32_t nargs = 0;
-        std::array<std::uint64_t, MigrationDescriptor::maxArgs> args{};
-        VAddr stackTop = 0;
         //! Set while a woken descriptor waits for the host core.
         bool pendingWake = false;
         MigrationDescriptor wakeDesc;
         //! Set while a host-fallback re-dispatch waits for the core.
         bool pendingFallback = false;
-        //! One-shot device preference (SubmitOptions::placementHint),
-        //! consumed by the call's first placement decision; -1 = none.
-        int placementHint = -1;
-        //! Low-confidence placement armed a speculative host-twin race;
-        //! consumed (and cleared) when the call descriptor fires.
-        bool specArmed = false;
-        //! Host twin VA the armed speculation will run.
+        //! Host twin VA of the speculative race a low-confidence
+        //! placement armed; consumed (and cleared) when the call
+        //! descriptor fires. 0 = none armed.
         VAddr specTwinVa = 0;
-        //! The call passed the QoS front door (its retirement must give
-        //! the tenant's in-flight budget back and pump the queues).
-        bool qosAdmitted = false;
-        //! Tenant id (only meaningful when qosAdmitted).
+        //! QoS tenant id (only meaningful with QoS enabled).
         unsigned tenant = 0;
         //! Admission time; the QoS cost model's sample starts here.
         Tick admitted = 0;
+    };
+
+    /** The call (pid, callId) a staged h2d ring slot belongs to. */
+    struct SlotOwner
+    {
+        int pid = 0;
+        std::uint64_t callId = 0;
     };
 
     /** Everything belonging to one NxP device. */
@@ -484,29 +328,25 @@ class MigrationEngine
         NxpPlatform *platform;
         DmaEngine *dma;
         RegionHeap *stackHeap;
-        Addr hostStagingPa;
-        Addr hostInboxPa;
         unsigned irqVector;
         //! This device's core clock (addNxpDevice's freq_hz, defaulting
         //! to the TimingConfig-wide nxpFreqHz).
         ClockDomain clock{1'000'000'000ull};
         DescriptorRing h2d; //!< Host staging ring -> device inbox ring.
         DescriptorRing d2h; //!< Device outbox ring -> host inbox ring.
+        //! The call each h2d ring slot was staged for, indexed by slot;
+        //! what a burst's DMA completion traces.
+        std::vector<SlotOwner> h2dOwner;
         //! Descriptors waiting for a free slot (ring backpressure).
         std::deque<MigrationDescriptor> h2dDeferred;
         std::deque<MigrationDescriptor> d2hDeferred;
 
-        // --- h2d batching state (setBatching) --------------------------
-        //! One staged-but-unfired descriptor in the open batch window.
-        struct PendingBurst
-        {
-            unsigned slot;        //!< Staging/inbox ring slot it sits in.
-            int pid;
-            std::uint64_t callId;
-        };
-        //! Descriptors staged during the current window, in ring order.
-        std::vector<PendingBurst> h2dBatch;
-        bool batchFlushScheduled = false; //!< Window-close event pending.
+        // --- h2d batching state (SystemConfig::batching) ----------------
+        //! Descriptors staged but not yet shipped in the open batch
+        //! window: batchCount ring slots from batchFirst, in ring order.
+        //! A window-close event is pending while batchCount > 0.
+        unsigned batchFirst = 0;
+        unsigned batchCount = 0;
         //! Bumped by quarantine so a pending window-close event finds
         //! its batch gone and does nothing.
         std::uint64_t batchEpoch = 0;
@@ -552,53 +392,14 @@ class MigrationEngine
     /** Release the host core and look for more work. */
     void releaseHost();
 
-    // --- QoS front door (DESIGN.md §14) --------------------------------
-
-    /** One call parked in a tenant's submission queue. */
-    struct QosPending
-    {
-        Task *task = nullptr;
-        VAddr entry = 0;
-        std::uint32_t nargs = 0;
-        std::array<std::uint64_t, MigrationDescriptor::maxArgs> args{};
-        VAddr stackTop = 0;
-        int placementHint = -1;
-        //! Absolute deadline fixed at submit time: queueing delay burns
-        //! deadline budget, which the dequeue-time re-check observes.
-        Tick absDeadline = 0;
-        Tick enqueued = 0;
-        std::shared_ptr<CallFutureState> future;
-    };
-
     /**
-     * Complete a refused call on the spot: the returned future is done
-     * with CallStatus::shedLoad and @p reason. Never allocates a call
-     * frame, touches a ring staging slot or schedules an event — the
-     * future is the only thing created (asserted by tests/qos_test.cpp).
+     * The QoS-independent submit() tail: create the call's TaskExec and
+     * hand the task to the host scheduler. @p state reuses a queued
+     * call's future (so copies handed out at submit time observe the
+     * completion); nullptr makes a fresh one.
      */
-    CallFuture shedFuture(Task &task, ShedReason reason);
-
-    /**
-     * The pre-QoS submit() body: create the TaskExec and hand the task
-     * to the host scheduler. @p state reuses a queued call's future
-     * (so copies handed out at submit time observe the completion);
-     * nullptr makes a fresh one.
-     */
-    CallFuture admitCall(Task &task, VAddr entry,
-                         std::span<const std::uint64_t> args,
-                         VAddr stack_top, Tick abs_deadline,
-                         int placement_hint,
+    CallFuture admitCall(const CallRequest &req,
                          std::shared_ptr<CallFutureState> state);
-
-    /**
-     * Hand freed capacity to the tenant queues: weighted-fair dequeue
-     * while any tenant with queued work is under its effective budget.
-     * Re-checks deadline feasibility with the time burned queueing.
-     */
-    void pumpQosQueues();
-
-    /** cancelCall() found @p pid parked in @p tenant's queue. */
-    void cancelQueuedCall(int pid, unsigned tenant);
 
     /**
      * Dequeue-time residency re-vote for a queued call's stale
@@ -612,26 +413,16 @@ class MigrationEngine
     /** Devices not written off by the health watchdog. */
     unsigned aliveDeviceCount() const;
 
-    /** Bump the aggregate and the per-tenant (_cr3#k) counter. */
-    void
-    tenantStat(const char *key, unsigned tenant)
-    {
-        splitStat(_tenantSlots, "%s_cr3#%u", key, tenant, 1);
-    }
-
-    /** Record a front-door decision when the arrival trace is on. */
-    void
-    recordArrival(unsigned tenant, int pid, QosArrival::Outcome outcome,
-                  ShedReason reason, Tick estimate)
-    {
-        if (!_arrivalTraceOn)
-            return;
-        _arrivals.push_back(
-            {_events.now(), tenant, pid, outcome, reason, estimate});
-    }
-
     /** First dispatch of a submitted call: set up and run the entry. */
     void startEntry(TaskExec &x);
+    /**
+     * A thread woken out of its migration suspension gets the host
+     * core back: scheduler latency, CR3 and context restore, then the
+     * ioctl returns into the user-space handler, which spends
+     * @p handler more ticks before @p then runs.
+     */
+    template <class F>
+    void resumeOnHost(TaskExec &x, Tick handler, F &&then);
     /** Dispatch a thread woken by a migration-return interrupt. */
     void dispatchWake(TaskExec &x);
     /** Dispatch a thread whose failed call re-runs on host text. */
@@ -639,15 +430,33 @@ class MigrationEngine
     /** Act on the descriptor that woke the thread (after ioctl exit). */
     void handleHostDescriptor(TaskExec &x, MigrationDescriptor d);
 
+    /** Install @p cr3 on the host core unless it already holds it. */
+    void loadHostCr3(Addr cr3);
+    /** Call @p va on the host core with @p args and run the segment. */
+    void runHostCall(TaskExec &x, VAddr va,
+                     std::span<const std::uint64_t> args);
     /** Run one host segment of @p x and schedule the stop handling. */
     void runHostSegment(TaskExec &x);
-    void handleHostStop(int pid, std::uint64_t id, RunResult r);
+    void handleHostStop(TaskExec &x, RunResult r);
 
-    /** Host NX fault: begin the host->NxP call migration (Listing 1).
-     *  @p canonical is the callee's home-symbol VA (== @p target unless
-     *  the placement policy re-pointed the call at a device twin). */
-    void startHostToNxpCall(TaskExec &x, VAddr target, unsigned device,
-                            VAddr canonical);
+    /**
+     * The host core's faulting call to @p target runs on its host twin
+     * @p twin instead of crossing to @p device: a policy steered it
+     * there (@p steered) or @p device is quarantined. The NX fault
+     * already fired, so its service cost and the handler prologue are
+     * paid; then the handler re-points the call at the twin instead of
+     * packaging a descriptor. The hijacked return address is in place,
+     * so the call completes exactly like a migration would have.
+     */
+    void runHostTwin(TaskExec &x, VAddr target, VAddr canonical,
+                     VAddr twin, unsigned device, bool steered);
+
+    /**
+     * A call to quarantined @p device was rejected at the kernel
+     * boundary: the host twin of @p va to fail over to, or 0 after
+     * failing the call and releasing the host core.
+     */
+    VAddr rejectToTwin(TaskExec &x, unsigned device, VAddr va);
 
     // --- Placement policy (DESIGN.md §11) ------------------------------
 
@@ -664,22 +473,18 @@ class MigrationEngine
     };
 
     /**
-     * Consult the placement policy for a faulted call to @p target
+     * Consult the placement policy for @p x's faulted call to @p target
      * whose PTE tags it for @p home. @p caller_device is the
      * originating NxP for device-to-device calls, hostSide otherwise.
      * Without a policy — or when the policy's answer is impossible —
      * returns the home placement.
      */
-    Placed decidePlacement(Task &task, VAddr target, unsigned home,
+    Placed decidePlacement(TaskExec &x, VAddr target, unsigned home,
                            unsigned caller_device);
 
-    /**
-     * Policy steered a host-originated faulted call to its host twin:
-     * charge the fault service like a quarantine failover would and run
-     * @p twin on the host core (no descriptor, no DMA, no device).
-     */
-    void startHostSteeredCall(TaskExec &x, VAddr faulted, VAddr canonical,
-                              VAddr twin, unsigned home);
+    /** Host NX fault: begin the host->NxP call migration (Listing 1)
+     *  to the placed device. */
+    void startHostToNxpCall(TaskExec &x, const Placed &p);
 
     /** Feed a completed call's latency to the policy's cost model. */
     void recordPlacementOutcome(Task &task, const CallFrame &frame);
@@ -727,20 +532,26 @@ class MigrationEngine
      */
     void hostSendDescriptor(TaskExec &x, MigrationDescriptor d,
                             unsigned device);
+    /** After @p delay, ship return value @p rv to the calling device
+     *  @p to (the host->NxP return descriptor). */
+    void returnToNxp(TaskExec &x, unsigned to, std::uint64_t rv,
+                     Tick delay);
     /**
-     * Ring-stage @p d for @p device: immediately fired (one burst, one
-     * doorbell) when batching is off, or parked in the device's open
-     * coalescing window when batching is on.
+     * Stage @p d in the next h2d ring slot of @p device, or defer it
+     * while the ring is full. With batching off it ships at once (one
+     * burst, one doorbell); with batching on it joins the device's open
+     * coalescing window.
      */
     void stageHostToNxp(MigrationDescriptor d, unsigned device);
-    /** Stage @p d in the next h2d ring slot and start its DMA burst. */
-    void fireHostToNxp(MigrationDescriptor d, unsigned device);
     /**
-     * Close @p device's batch window: ship every parked descriptor as
+     * Close @p device's batch window: ship every staged descriptor as
      * chained DMA bursts (one per maximal run of contiguous ring slots,
-     * split where the ring wraps), each with a single doorbell write.
+     * split where the ring wraps).
      */
     void flushH2dBatch(unsigned device);
+    /** Ring one doorbell for the @p n staged slots from @p first and
+     *  start their chained DMA burst. */
+    void shipH2d(unsigned device, unsigned first, unsigned n);
 
     // --- NxP-side scheduling ------------------------------------------
 
@@ -751,6 +562,14 @@ class MigrationEngine
     void releaseNxp(unsigned device);
 
     void handleNxpDescriptor(unsigned device, MigrationDescriptor d);
+    /** A host->NxP call descriptor's context switch is done: start the
+     *  callee on @p device. */
+    void startNxpCall(TaskExec &x, unsigned device,
+                      const MigrationDescriptor &d);
+    /** A host->NxP return descriptor's context switch is done: resume
+     *  the suspended caller on @p device. */
+    void resumeNxpCall(TaskExec &x, unsigned device,
+                       const MigrationDescriptor &d);
     void runNxpSegment(TaskExec &x, unsigned device);
     void handleNxpStop(int pid, std::uint64_t id, unsigned device,
                        RunResult r);
@@ -760,12 +579,21 @@ class MigrationEngine
                                 unsigned device);
 
     /**
+     * The leaf PTE mapping @p va in address space @p cr3, read through
+     * an untimed debug walk (kernel metadata lookups must not perturb
+     * timing or stats); 0 when @p va is unmapped. @p level receives the
+     * leaf's level (0 = 4K page).
+     */
+    std::uint64_t leafPte(Addr cr3, VAddr va, int &level) const;
+
+    /**
      * Ship @p d to the host (outbox stage + doorbell + DMA), then
      * release the device core.
      */
     void deviceSendToHost(TaskExec &x, MigrationDescriptor d,
                           unsigned device);
-    /** Stage @p d in the next d2h ring slot and start its DMA burst. */
+    /** Stage @p d in the next d2h ring slot and start its DMA burst,
+     *  or defer it while the ring is full. */
     void fireNxpToHost(MigrationDescriptor d, unsigned device);
 
     /** The IRQ handler for @p device's DMA-complete vector. */
@@ -786,14 +614,27 @@ class MigrationEngine
     void nakD2h(unsigned device);
 
     /**
+     * Verify landed descriptor @p w before trusting any field in it:
+     * its checksum, and that its sequence number follows @p accepted
+     * (a mismatch is counted). Decodes it into @p d.
+     */
+    bool verifyArrival(const MigrationDescriptor::Wire &w,
+                       std::uint64_t accepted, unsigned device,
+                       MigrationDescriptor &d);
+
+    /**
      * Arm (or re-arm) the lost-MSI watchdog for d2h descriptor @p seq.
      * Only armed while fault injection is active; the fault-free event
      * stream carries no watchdog events at all.
      */
     void armD2hWatchdog(unsigned device, std::uint64_t seq);
 
-    /** Die on an exhausted retry budget, naming the link and seed. */
-    [[noreturn]] void unrecoverable(const char *link, unsigned device);
+    /**
+     * Count a NAK and the retransmission it triggers on @p device's
+     * @p link; die naming the link and chaos seed once @p retries
+     * consecutive NAKs exhaust the retry budget.
+     */
+    void countRetry(unsigned &retries, const char *link, unsigned device);
 
     // --- Device health, deadlines and failover -------------------------
 
@@ -812,8 +653,14 @@ class MigrationEngine
      */
     void quarantineDevice(unsigned device);
 
-    /** Does @p x's call state reference @p device anywhere? */
-    bool execTouches(const TaskExec &x, unsigned device) const;
+    /** failCall() every in-flight call @p pred selects. */
+    template <class Pred>
+    void failWhere(Pred pred, CallStatus status);
+
+    /** Do @p frames or @p task's saved NxP contexts reference
+     *  @p device? */
+    static bool touches(std::span<const CallFrame> frames, const Task &task,
+                        unsigned device);
 
     /**
      * Complete @p x's call with a non-ok @p status and unwind its
@@ -862,38 +709,7 @@ class MigrationEngine
     void
     protoStat(const char *key, unsigned device, std::uint64_t delta = 1)
     {
-        splitStat(_protoSlots, "%s_dev%u", key, device, delta);
-    }
-
-    /** Interned slots of one split counter: "key" and its per-index
-     *  splits, each null until first bumped. */
-    struct SplitSlots
-    {
-        std::uint64_t *total = nullptr;
-        std::vector<std::uint64_t *> split;
-    };
-    //! Split counters by key literal; a literal's address names it.
-    using SplitCache = std::unordered_map<const char *, SplitSlots>;
-
-    /**
-     * Add @p delta to counter @p key and to strfmt(@p fmt, key, index).
-     * Both keys are formatted and looked up once per (key, index); a
-     * repeat bump is a pointer-keyed lookup and two adds.
-     */
-    void
-    splitStat(SplitCache &cache, const char *fmt, const char *key,
-              unsigned index, std::uint64_t delta)
-    {
-        SplitSlots &s = cache[key];
-        if (!s.total)
-            s.total = &_stats.slot(key);
-        if (index >= s.split.size())
-            s.split.resize(index + 1, nullptr);
-        std::uint64_t *&split = s.split[index];
-        if (!split)
-            split = &_stats.slot(strfmt(fmt, key, index));
-        *s.total += delta;
-        *split += delta;
+        _protoStats.add(key, device, delta);
     }
 
     // --- Helpers -------------------------------------------------------
@@ -941,6 +757,34 @@ class MigrationEngine
         _events.scheduleIn(t, "flick-engine", std::forward<F>(fn));
     }
 
+    /**
+     * Run @p fn on call (@p pid, @p id) if it is still alive. The one
+     * rule of every continuation: one that finds its call gone (failed,
+     * cancelled, or its id moved on) releases the core it holds —
+     * @p core is hostSide for the host core, else an NxP device id.
+     */
+    template <class F>
+    void
+    guarded(int pid, std::uint64_t id, unsigned core, F &fn)
+    {
+        if (TaskExec *x = live(pid, id))
+            fn(*x);
+        else if (core == hostSide)
+            releaseHost();
+        else
+            releaseNxp(core);
+    }
+
+    /** guarded() @p t ticks from now. */
+    template <class F>
+    void
+    afterLive(Tick t, int pid, std::uint64_t id, unsigned core, F &&fn)
+    {
+        after(t, [this, pid, id, core, fn = std::forward<F>(fn)]() mutable {
+            guarded(pid, id, core, fn);
+        });
+    }
+
     Tick hostCycles(std::uint64_t n) const;
     Tick nxpCycles(unsigned device, std::uint64_t n) const;
 
@@ -974,7 +818,6 @@ class MigrationEngine
     }
 
     NxpSide &side(unsigned device);
-    TaskExec &exec(int pid);
 
     /**
      * The in-flight call (pid, id) if it is still alive, else nullptr.
@@ -1006,23 +849,28 @@ class MigrationEngine
     Addr _hostLoadedCr3 = 0;
 
     Tick _extraRoundTrip = 0;
-    std::uint64_t _nxpStackBytes = 64 * 1024;
-    bool _batching = false;      //!< h2d descriptor coalescing on/off.
+    const std::uint64_t _nxpStackBytes;
+    const bool _batching;        //!< h2d descriptor coalescing on/off.
     unsigned _batchMaxDescs = 0; //!< Largest burst shipped so far.
-    ChaosController *_chaos = nullptr;
-    Tracer *_tracer = nullptr;
-    unsigned _retryBudget = 16;
+    const unsigned _retryBudget;
+    const Tick _callDeadline;
+    const bool _hostFallback;
+    const unsigned _strikeLimit;
+    ChaosController *const _chaos;
+    Tracer *const _tracer;
+    //! Placement policy; nullptr = the paper's link-time pinning.
+    PlacementPolicy *const _policy;
+    //! Residency counters for the policy view; nullptr = tracking off.
+    ResidencyTracker *const _residency;
+    //! Speculative dual execution; nullptr = feature off (DESIGN.md §16).
+    SpeculationManager *const _spec;
     std::uint64_t _nextExecId = 0;
-    Tick _callDeadline = 0;
-    bool _hostFallback = false;
-    unsigned _strikeLimit = 2;
     bool _heartbeatArmed = false;
     //! (cr3, va) -> host-ISA twin va (Section 3.3 multi-ISA binaries).
     std::map<std::pair<Addr, VAddr>, VAddr> _fallback;
-    //! Placement policy; nullptr = the paper's link-time pinning.
-    PlacementPolicy *_policy = nullptr;
-    //! Speculative dual execution; nullptr = feature off (DESIGN.md §16).
-    SpeculationManager *_spec = nullptr;
+    //! The candidates of the current placement decision; reused so a
+    //! decision allocates nothing.
+    PlacementCandidates _cands;
     //! Outcome of the current speculative host slice, consumed by
     //! hostSpecFinished (guarded by the manager's seq against staleness).
     struct SpecRun
@@ -1043,15 +891,12 @@ class MigrationEngine
         Tick t0 = 0;
     };
     std::map<std::pair<int, std::uint64_t>, SpecHarvest> _specHarvest;
-    //! Residency counters for the policy view; nullptr = tracking off.
-    ResidencyTracker *_residency = nullptr;
     //! (cr3, canonical va) -> per-device dispatch VA (0 = no copy).
     std::map<std::pair<Addr, VAddr>, std::vector<VAddr>> _deviceTwins;
     //! (cr3, twin va) -> canonical va, the reverse of _deviceTwins.
     std::map<std::pair<Addr, VAddr>, VAddr> _twinCanonical;
     StatGroup _stats;
-    SplitCache _protoSlots;
-    SplitCache _tenantSlots;
+    SplitCounters _protoStats{_stats, "%s_dev%u"};
     // Per-call and per-crossing counters, interned.
     StatGroup::Counter _callsSubmitted{_stats, "calls_submitted"};
     StatGroup::Counter _callsCompleted{_stats, "calls_completed"};
@@ -1062,17 +907,7 @@ class MigrationEngine
     StatGroup::Counter _nxpToHostCalls{_stats, "nxp_to_host_calls"};
     StatGroup::Counter _nxpToNxpCalls{_stats, "nxp_to_nxp_calls"};
 
-    // --- QoS state (all dormant while _qos.enabled is false) -----------
-    QosConfig _qos;
-    TenantScheduler _tenants;
-    //! Per-tenant submission queues, indexed by tenant id.
-    std::vector<std::deque<QosPending>> _qosQueues;
-    //! pid -> tenant of every queued call (submit guard, cancel path).
-    std::map<int, unsigned> _qosQueuedPid;
-    //! End-to-end entry-latency EWMAs (the admission fallback model).
-    CallCostModel _qosModel;
-    bool _arrivalTraceOn = false;
-    std::vector<QosArrival> _arrivals;
+    QosFrontDoor _qos;
 };
 
 } // namespace flick

@@ -107,18 +107,15 @@ FlickSystem::FlickSystem(SystemConfig config)
         _tracer.enable();
     _kernel.setTracer(&_tracer, &_events);
 
-    _engine = std::make_unique<MigrationEngine>(_events, _mem,
-                                                _config.timing, _kernel,
-                                                _irq, _hostCore);
-    _engine->setChaos(&_chaos);
-    _engine->setTracer(&_tracer);
-    _engine->setRetryBudget(_config.retryBudget);
-    _engine->setCallDeadline(_config.callDeadline);
-    _engine->setHostFallback(_config.hostFallback);
-    _engine->setHealthStrikeLimit(_config.healthStrikeLimit);
-    _engine->setBatching(_config.batching);
-    _engine->setQos(_config.qos);
-    _engine->setArrivalTrace(_config.arrivalTrace);
+    // Driver bring-up: compute each device's BAR remap offset and write
+    // it into that device's TLB control register through its control
+    // BAR, as the host driver does at boot (Section IV-A).
+    for (unsigned k = 0; k < _config.platform.nxpDeviceCount; ++k) {
+        _mem.writeInt(Requester::hostCore,
+                      _config.platform.ctrlBase(k) +
+                          NxpPlatform::regBarRemap,
+                      _config.platform.barRemapOffsetFor(k), 8);
+    }
 
     // Placement policy (DESIGN.md §11). Static placement is no policy
     // at all: the engine dispatches as linked, exactly the paper's path.
@@ -126,7 +123,33 @@ FlickSystem::FlickSystem(SystemConfig config)
                      ? _config.placementPolicy
                      : makePlacementPolicy(_config.placement,
                                            _config.placementConfig);
-    _engine->setPlacementPolicy(_placement.get());
+
+    // Data residency layer (DESIGN.md §15). The tracker is passive —
+    // with it absent the MemSystem counting branch never runs and no
+    // flick.residency.* counters exist; the migrator additionally
+    // schedules scan events, so it is gated separately.
+    if (_config.residencyTracking || _config.migration.enabled) {
+        _residencyTracker = std::make_unique<ResidencyTracker>(
+            _config.platform.nxpDeviceCount);
+        _mem.setResidencyTracker(_residencyTracker.get());
+    }
+
+    // Speculative dual execution (DESIGN.md §16). Gated on construction
+    // like the residency layer: with it off no manager exists, the
+    // MemSystem hook pointer stays null and the engine's spec paths are
+    // unreachable — tick-for-tick identity with a pre-speculation build.
+    if (_config.speculation.enabled) {
+        _speculation = std::make_unique<SpeculationManager>(
+            _mem, _config.speculation);
+    }
+
+    _engine = std::make_unique<MigrationEngine>(
+        _events, _mem, _kernel, _irq, _hostCore, _config,
+        MigrationEngine::Layers{.chaos = &_chaos,
+                                .tracer = &_tracer,
+                                .policy = _placement.get(),
+                                .residency = _residencyTracker.get(),
+                                .spec = _speculation.get()});
 
     // Per device: a host-side staging ring the kernel packages outbound
     // descriptors into, and a host-side inbox ring the device's outbox
@@ -145,28 +168,7 @@ FlickSystem::FlickSystem(SystemConfig config)
         _engine->addNxpDevice(d.core, d.ctrl, d.dma, d.windowHeap, staging,
                               inbox, k, slots, _config.deviceFrequency(k));
     }
-    _engine->setNxpStackBytes(_config.nxpStackBytes);
 
-    // Driver bring-up: compute each device's BAR remap offset and write
-    // it into that device's TLB control register through its control
-    // BAR, as the host driver does at boot (Section IV-A).
-    for (unsigned k = 0; k < _config.platform.nxpDeviceCount; ++k) {
-        _mem.writeInt(Requester::hostCore,
-                      _config.platform.ctrlBase(k) +
-                          NxpPlatform::regBarRemap,
-                      _config.platform.barRemapOffsetFor(k), 8);
-    }
-
-    // Data residency layer (DESIGN.md §15). The tracker is passive —
-    // with it absent the MemSystem counting branch never runs and no
-    // flick.residency.* counters exist; the migrator additionally
-    // schedules scan events, so it is gated separately.
-    if (_config.residencyTracking || _config.migration.enabled) {
-        _residencyTracker = std::make_unique<ResidencyTracker>(
-            _config.platform.nxpDeviceCount);
-        _mem.setResidencyTracker(_residencyTracker.get());
-        _engine->setResidencyTracker(_residencyTracker.get());
-    }
     if (_config.migration.enabled) {
         MigrationConfig mcfg = _config.migration;
         mcfg.enabled = true;
@@ -181,16 +183,6 @@ FlickSystem::FlickSystem(SystemConfig config)
         // detector while a page copy is in flight (DESIGN.md §13/§15).
         _mem.addDecodeSink(_migrator.get());
         _migrator->start();
-    }
-
-    // Speculative dual execution (DESIGN.md §16). Gated on construction
-    // like the residency layer: with it off no manager exists, the
-    // MemSystem hook pointer stays null and the engine's spec paths are
-    // unreachable — tick-for-tick identity with a pre-speculation build.
-    if (_config.speculation.enabled) {
-        _speculation = std::make_unique<SpeculationManager>(
-            _mem, _config.speculation);
-        _engine->setSpeculation(_speculation.get());
     }
 }
 
@@ -213,7 +205,7 @@ FlickSystem::load(const Program &program)
     // _cr3#<k> stat suffixes and withTenantWeight() indices are stable
     // across runs regardless of submission interleaving.
     if (_config.qos.enabled)
-        _engine->registerTenant(proc->image.cr3);
+        _engine->qos().registerTenant(proc->image.cr3);
     proc->task->hostStackTop = proc->image.hostStackTop;
     proc->task->hostStackBytes = _config.loadOptions.hostStackBytes;
     proc->hostHeap = std::make_unique<RegionHeap>(

@@ -638,7 +638,7 @@ class FlickSystem
     const std::vector<QosArrival> &
     arrivalTrace() const
     {
-        return _engine->arrivalTrace();
+        return _engine->qos().arrivalTrace();
     }
 
     /**
@@ -649,7 +649,7 @@ class FlickSystem
     unsigned
     tenantIndex(const Process &process)
     {
-        return _engine->tenantIndex(process.image.cr3);
+        return _engine->qos().registerTenant(process.image.cr3);
     }
 
     /**

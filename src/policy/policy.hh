@@ -21,6 +21,7 @@
 #ifndef FLICK_POLICY_POLICY_HH
 #define FLICK_POLICY_POLICY_HH
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -87,6 +88,9 @@ struct DeviceLoad
 /** One dispatch decision request. */
 struct PlacementQuery
 {
+    /** Argument registers a call passes (the descriptor's maxArgs). */
+    static constexpr unsigned maxArgs = 6;
+
     Addr cr3 = 0;
     /** The function's canonical (home-symbol) virtual address. */
     VAddr canonical = 0;
@@ -97,12 +101,13 @@ struct PlacementQuery
     /** Originating device when fromDevice (excluded from candidates). */
     unsigned callerDevice = 0;
     /**
-     * The call's argument registers at fault time. Residency-aware
-     * placement treats page-aligned-ish values as potential pointers and
-     * consults the residency map for the pages they name; other policies
-     * ignore them. Empty when the installed policy needs no arguments.
+     * The call's argument registers at fault time, all maxArgs of them
+     * (registers the callee does not read hold whatever they held).
+     * Residency-aware placement treats page-aligned-ish values as
+     * potential pointers and consults the residency map for the pages
+     * they name; other policies ignore them.
      */
-    std::vector<std::uint64_t> args;
+    std::array<std::uint64_t, maxArgs> args{};
 };
 
 /**

@@ -22,22 +22,15 @@ eligibleDevice(unsigned d, const PlacementQuery &query,
 
 } // namespace
 
-PlacementDecision
-ResidencyAwarePlacement::place(const PlacementQuery &query,
-                               const PlacementCandidates &cands,
-                               const PlacementView &view)
+PageVotes
+tallyPageVotes(Addr cr3, std::span<const std::uint64_t> args,
+               const PlacementView &view)
 {
-    // Access-weighted vote over the distinct pages the call's argument
-    // registers point at. Values below one page are lengths/flags, not
-    // pointers; the rest are asked for their residency. A mapped page
-    // votes for its holder with weight 1 + its holder's access count, so
-    // a page that is merely *placed* somewhere still has a voice before
-    // any counter ticks (cold-start steering), while hot pages dominate.
-    std::uint64_t host_votes = 0;
-    std::vector<std::uint64_t> dev_votes(view.deviceCount(), 0);
+    PageVotes votes;
+    votes.device.assign(view.deviceCount(), 0);
     std::uint64_t seen_pages[8];
     unsigned seen = 0;
-    for (std::uint64_t arg : query.args) {
+    for (std::uint64_t arg : args) {
         if (arg < 4096)
             continue;
         std::uint64_t page = arg & ~std::uint64_t(4095);
@@ -47,43 +40,52 @@ ResidencyAwarePlacement::place(const PlacementQuery &query,
         if (dup || seen >= 8)
             continue;
         seen_pages[seen++] = page;
-        PageResidency pr = view.pageResidency(query.cr3, page);
+        PageResidency pr = view.pageResidency(cr3, page);
         if (!pr.mapped)
             continue;
         if (pr.holder < 0) {
-            host_votes += 1 + pr.hostAccesses;
-        } else if (static_cast<unsigned>(pr.holder) < dev_votes.size()) {
+            votes.host += 1 + pr.hostAccesses;
+        } else if (static_cast<unsigned>(pr.holder) < votes.device.size()) {
             std::uint64_t touches =
                 static_cast<unsigned>(pr.holder) < pr.deviceAccesses.size()
                     ? pr.deviceAccesses[pr.holder]
                     : 0;
-            dev_votes[pr.holder] += 1 + touches;
+            votes.device[pr.holder] += 1 + touches;
         }
     }
+    votes.total = votes.host;
+    for (std::uint64_t v : votes.device)
+        votes.total += v;
+    return votes;
+}
 
-    std::uint64_t total = host_votes;
+PlacementDecision
+ResidencyAwarePlacement::place(const PlacementQuery &query,
+                               const PlacementCandidates &cands,
+                               const PlacementView &view)
+{
+    PageVotes votes = tallyPageVotes(query.cr3, query.args, view);
     int best_dev = -1;
-    for (unsigned d = 0; d < dev_votes.size(); ++d) {
-        total += dev_votes[d];
-        if (!dev_votes[d] || !eligibleDevice(d, query, cands, view))
+    for (unsigned d = 0; d < votes.device.size(); ++d) {
+        if (!votes.device[d] || !eligibleDevice(d, query, cands, view))
             continue;
         // Ties break toward home, then the lowest id (determinism).
-        if (best_dev < 0 || dev_votes[d] > dev_votes[best_dev] ||
-            (dev_votes[d] == dev_votes[best_dev] && d == query.home))
+        if (best_dev < 0 || votes.device[d] > votes.device[best_dev] ||
+            (votes.device[d] == votes.device[best_dev] && d == query.home))
             best_dev = static_cast<int>(d);
     }
 
     // Majority holder is a device: follow the data.
     if (best_dev >= 0 &&
-        dev_votes[best_dev] * 100 >= total * _cfg.residencyMajorityPct)
+        votes.device[best_dev] * 100 >= votes.total * _cfg.residencyMajorityPct)
         return {false, static_cast<unsigned>(best_dev)};
 
     // Majority holder is host DRAM: run the host twin so every access
     // stays local — unless the measured EWMAs say the device round trip
     // beats the host run by the hysteresis margin anyway (compute-bound
     // callee where the NxP's proximity to *other* state wins).
-    if (host_votes * 100 >= total * _cfg.residencyMajorityPct &&
-        total > 0 && cands.hostVa && !query.fromDevice) {
+    if (votes.host * 100 >= votes.total * _cfg.residencyMajorityPct &&
+        votes.total > 0 && cands.hostVa && !query.fromDevice) {
         Tick dev_est = _deviceModel.estimate(query.cr3, query.canonical);
         Tick host_est = _hostModel.estimate(query.cr3, query.canonical);
         bool device_vetoes =

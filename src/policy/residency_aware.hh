@@ -17,11 +17,35 @@
 #ifndef FLICK_POLICY_RESIDENCY_AWARE_HH
 #define FLICK_POLICY_RESIDENCY_AWARE_HH
 
+#include <span>
+#include <vector>
+
 #include "policy/cost_model.hh"
 #include "policy/policy.hh"
 
 namespace flick
 {
+
+/** The access-weighted page vote over a call's argument pages. */
+struct PageVotes
+{
+    std::uint64_t host = 0;           //!< Votes for host DRAM.
+    std::vector<std::uint64_t> device; //!< Votes per device.
+    std::uint64_t total = 0;          //!< Every vote cast.
+};
+
+/**
+ * Tally the vote over the distinct pages (at most eight) that @p args
+ * point at in address space @p cr3. Values below one page are
+ * lengths/flags, not pointers; the rest are asked for their residency.
+ * A mapped page votes for its holder with weight 1 + its holder's
+ * access count, so a page that is merely *placed* somewhere still has a
+ * voice before any counter ticks (cold-start steering), while hot pages
+ * dominate. Each caller applies its own eligibility, tie-break and
+ * majority threshold to the tally.
+ */
+PageVotes tallyPageVotes(Addr cr3, std::span<const std::uint64_t> args,
+                         const PlacementView &view);
 
 class ResidencyAwarePlacement final : public PlacementPolicy
 {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "sim/logging.hh"
+
 namespace flick
 {
 
@@ -19,6 +21,12 @@ StatGroup::dump(std::ostream &os) const
               [](const auto *a, const auto *b) { return a->first < b->first; });
     for (const auto *kv : rows)
         os << _name << '.' << kv->first << ' ' << kv->second << '\n';
+}
+
+std::string
+SplitCounters::splitKey(const char *key, unsigned index) const
+{
+    return strfmt(_fmt, key, index);
 }
 
 } // namespace flick

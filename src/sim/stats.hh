@@ -15,6 +15,7 @@
 #include <ostream>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 namespace flick
 {
@@ -116,6 +117,51 @@ class StatGroup
   private:
     std::string _name;
     std::unordered_map<std::string, std::uint64_t> _counters;
+};
+
+/**
+ * Counters bumped together with a per-index split: add(key, index)
+ * bumps "key" and strfmt(fmt, key, index) of one StatGroup. Both keys
+ * are formatted and looked up once per (key, index); a repeat bump is
+ * a pointer-keyed lookup and two adds. A key literal's address names
+ * it, so keys must be string literals.
+ */
+class SplitCounters
+{
+  public:
+    /** @p fmt takes the key (%s) and then the index (%u). */
+    SplitCounters(StatGroup &group, const char *fmt)
+        : _group(group), _fmt(fmt)
+    {}
+
+    void
+    add(const char *key, unsigned index, std::uint64_t delta = 1)
+    {
+        Slots &s = _cache[key];
+        if (!s.total)
+            s.total = &_group.slot(key);
+        if (index >= s.split.size())
+            s.split.resize(index + 1, nullptr);
+        std::uint64_t *&split = s.split[index];
+        if (!split)
+            split = &_group.slot(splitKey(key, index));
+        *s.total += delta;
+        *split += delta;
+    }
+
+  private:
+    /** Slots of "key" and of its per-index splits, null until bumped. */
+    struct Slots
+    {
+        std::uint64_t *total = nullptr;
+        std::vector<std::uint64_t *> split;
+    };
+
+    std::string splitKey(const char *key, unsigned index) const;
+
+    StatGroup &_group;
+    const char *_fmt;
+    std::unordered_map<const char *, Slots> _cache;
 };
 
 } // namespace flick

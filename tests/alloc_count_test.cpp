@@ -53,10 +53,11 @@ constexpr std::uint64_t crossings = 1000;
  *  lines, interned counters, slab and ring growth). */
 struct Warm
 {
-    FlickSystem sys{SystemConfig{}};
+    FlickSystem sys;
     Process *proc = nullptr;
 
-    Warm()
+    explicit Warm(SystemConfig config = SystemConfig{})
+        : sys(std::move(config))
     {
         Program prog;
         workloads::addMicrobench(prog);
@@ -93,6 +94,23 @@ TEST(AllocationGate, SubmittedNoopCall)
     double per_call = double(total) / crossings;
     RecordProperty("allocs_per_call", std::to_string(per_call));
     EXPECT_LE(per_call, 2.05);
+}
+
+/** One submitted no-op call with storm's dispatch layers on: a
+ *  placement decision per call and h2d descriptor batching. */
+TEST(AllocationGate, PlacementBatchingCall)
+{
+    Warm w(SystemConfig{}
+               .withDevices(2)
+               .withPlacement(PlacementKind::leastLoaded)
+               .withBatching());
+    const CallSpec spec("nxp_noop");
+    std::uint64_t total = 0;
+    for (std::uint64_t i = 0; i < crossings; ++i)
+        total += w.allocationsOf(spec);
+    double per_call = double(total) / crossings;
+    RecordProperty("allocs_per_call", std::to_string(per_call));
+    EXPECT_LE(per_call, 1.05);
 }
 
 /** NxP->Host->NxP: the callbacks of one NxP loop, less the loop's own

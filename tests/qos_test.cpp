@@ -300,14 +300,14 @@ TEST(QosQueue, AdmitQueueShedOrderAndDrain)
     EXPECT_EQ(st.get("qos.admitted"), 1u);
     EXPECT_EQ(st.get("qos.queued"), 1u);
     EXPECT_EQ(st.get("qos.shed.queue_full"), 1u);
-    EXPECT_EQ(sys.debug().engine().qosQueued(0), 1u);
+    EXPECT_EQ(sys.debug().engine().qos().queued(0), 1u);
 
     // The first completion pumps the queue: f2 enters and completes.
     EXPECT_EQ(f1.wait(), workloads::mixHotRef(1, 100));
     EXPECT_EQ(f2.wait(), workloads::mixHotRef(2, 100));
     EXPECT_EQ(st.get("qos.dequeued"), 1u);
     EXPECT_EQ(st.get("qos.dequeued_cr3#0"), 1u);
-    EXPECT_EQ(sys.debug().engine().qosQueued(0), 0u);
+    EXPECT_EQ(sys.debug().engine().qos().queued(0), 0u);
     delete sysp;
 }
 
@@ -338,7 +338,7 @@ TEST(QosQueue, CancelLiftsQueuedCallOut)
     const StatGroup &st = sys.debug().engine().stats();
     EXPECT_EQ(st.get("qos.cancelled_queued"), 1u);
     EXPECT_EQ(st.get("qos.dequeued"), 0u);
-    EXPECT_EQ(sys.debug().engine().qosQueued(0), 0u);
+    EXPECT_EQ(sys.debug().engine().qos().queued(0), 0u);
 
     // The thread is reusable after its queued call was cancelled.
     CallFuture f3 = sys.submit(
@@ -462,7 +462,7 @@ TEST(QosCapacity, QuarantineShrinksTenantBudget)
     Program prog;
     workloads::addMicrobench(prog);
     Process &proc = sys.load(prog);
-    EXPECT_EQ(sys.debug().engine().effectiveTenantBudget(), 4u);
+    EXPECT_EQ(sys.debug().engine().qos().effectiveTenantBudget(), 4u);
 
     sys.debug().engine().killDevice(0);
     CallFuture f = sys.submit(proc, CallSpec("nxp_add").withArgs({1, 2}));
@@ -473,7 +473,7 @@ TEST(QosCapacity, QuarantineShrinksTenantBudget)
 
     // Half the fabric is gone: the per-tenant budget halves with it,
     // and the capacity_lost counter records which device took it away.
-    EXPECT_EQ(sys.debug().engine().effectiveTenantBudget(), 2u);
+    EXPECT_EQ(sys.debug().engine().qos().effectiveTenantBudget(), 2u);
     const StatGroup &st = sys.debug().engine().stats();
     EXPECT_EQ(st.get("qos.capacity_lost"), 1u);
     EXPECT_EQ(st.get("qos.capacity_lost_dev0"), 1u);
