@@ -376,6 +376,63 @@ dev1_scale__host:
     return finish(sys);
 }
 
+/**
+ * Two devices, least-loaded placement and h2d batching under seeded
+ * fabric faults: four waves of eight concurrent threads coalesce their
+ * calls into chained bursts while corrupted bursts are NAKed and
+ * retransmitted from staging and MSIs are dropped, duplicated and
+ * delayed — the staging, accept and NAK paths of both link directions
+ * at once.
+ */
+Outcome
+runBatchingChaos()
+{
+    constexpr unsigned devices = 2;
+    constexpr std::uint64_t rounds = 200;
+    ChaosConfig chaos;
+    chaos.enabled = true;
+    chaos.seed = 3;
+    chaos.corruptRate = 0.15;
+    chaos.dropIrqRate = 0.10;
+    chaos.duplicateIrqRate = 0.10;
+    chaos.delayRate = 0.30;
+    FlickSystem sys(SystemConfig{}
+                        .withDevices(devices)
+                        .withPlacement(PlacementKind::leastLoaded)
+                        .withBatching()
+                        .withChaos(chaos));
+    Program prog;
+    workloads::addPlacementMix(prog, devices);
+    Process &proc = sys.load(prog);
+
+    constexpr unsigned threads = 8;
+    std::vector<Task *> pool;
+    for (unsigned i = 0; i < threads; ++i)
+        pool.push_back(&sys.spawnThread(proc));
+    for (std::uint64_t wave = 0; wave < 4; ++wave) {
+        std::vector<CallFuture> futs;
+        for (unsigned i = 0; i < threads; ++i) {
+            std::uint64_t seed = wave * threads + i + 1;
+            futs.push_back(sys.submit(proc, CallSpec("mix_hot")
+                                                .withArgs({seed, rounds})
+                                                .onThread(*pool[i])));
+        }
+        for (unsigned i = 0; i < threads; ++i) {
+            EXPECT_EQ(futs[i].wait(),
+                      workloads::mixHotRef(wave * threads + i + 1, rounds))
+                << "wave " << wave << " call " << i;
+            EXPECT_EQ(futs[i].status(), CallStatus::ok);
+        }
+    }
+
+    const StatGroup &st = sys.debug().engine().stats();
+    EXPECT_GT(st.get("naks_dev0"), 0u);
+    EXPECT_GT(st.get("naks_dev1"), 0u);
+    EXPECT_GT(st.get("timeouts"), 0u);
+    EXPECT_GT(st.get("batch.coalesced"), 0u);
+    return finish(sys);
+}
+
 } // namespace
 
 TEST(StatsGolden, TableThreeRoundtrips)
@@ -409,4 +466,9 @@ TEST(StatsGolden, TwoDevicesDeviceLossFailoverDeadline)
 {
     expectGolden(runDeviceLossFailover(), 17034069482522710049ull,
                  3241542726);
+}
+
+TEST(StatsGolden, TwoDevicesBatchingUnderChaos)
+{
+    expectGolden(runBatchingChaos(), 12845051791912854512ull, 564342967);
 }
