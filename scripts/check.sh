@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
-# Full verification sweep: the regular test suite in the default build,
-# the full suite again in a Debug + AddressSanitizer/UBSan build (leaks,
-# lifetime bugs and undefined behaviour anywhere in the simulator), a
-# build-only Debug + ThreadSanitizer step (the simulator is single-
-# threaded — no test starts a thread — so running the suite under TSan
-# would check nothing ASan does not; the build keeps FLICK_SANITIZE=
-# thread compiling for a future parallel backend), and a docs-drift
-# guard keeping DESIGN.md's configuration table in sync with
-# SystemConfig and CallSpec in both directions.
+# Full verification sweep: the regular test suite in the default build
+# with warnings as errors, the full suite again in a Debug +
+# AddressSanitizer/UBSan build (leaks, lifetime bugs and undefined
+# behaviour anywhere in the simulator), a build-only Debug +
+# ThreadSanitizer step (the simulator is single-threaded — no test
+# starts a thread — so running the suite under TSan would check nothing
+# ASan does not; the build keeps FLICK_SANITIZE=thread compiling for a
+# future parallel backend), and a docs-drift guard keeping DESIGN.md's
+# configuration table in sync with SystemConfig and CallSpec in both
+# directions.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -92,42 +93,10 @@ fi
 echo "all flick.* stat families documented"
 
 echo
-echo "== release build + full test suite =="
-cmake -B build -S . >/dev/null
+echo "== release build (warnings are errors) + full test suite =="
+cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build -j "$jobs"
 ctest --test-dir build --output-on-failure -j "$jobs"
-
-echo
-echo "== release build, device-fault label =="
-ctest --test-dir build --output-on-failure -j "$jobs" -L device_fault
-
-echo
-echo "== release build, trace label =="
-ctest --test-dir build --output-on-failure -j "$jobs" -L trace
-
-echo
-echo "== release build, policy label =="
-ctest --test-dir build --output-on-failure -j "$jobs" -L policy
-
-echo
-echo "== release build, fabric label =="
-ctest --test-dir build --output-on-failure -j "$jobs" -L fabric
-
-echo
-echo "== release build, qos label (multi-tenant QoS & load generator) =="
-ctest --test-dir build --output-on-failure -j "$jobs" -L qos
-
-echo
-echo "== release build, interp label (differential interpreter suite) =="
-ctest --test-dir build --output-on-failure -j "$jobs" -L interp
-
-echo
-echo "== release build, residency label (tracking & page migration) =="
-ctest --test-dir build --output-on-failure -j "$jobs" -L residency
-
-echo
-echo "== release build, spec label (speculative dual execution) =="
-ctest --test-dir build --output-on-failure -j "$jobs" -L spec
 
 echo
 echo "== interp bench, smoke mode (cached vs reference identity) =="

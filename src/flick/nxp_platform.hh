@@ -46,11 +46,7 @@ class NxpPlatform : public MmioDevice
     /** Attach the NxP core's MMU so regBarRemap can program its TLBs. */
     void setNxpMmu(Mmu *mmu) { _nxpMmu = mmu; }
 
-    /**
-     * Local physical address of the inbound descriptor ring (slot 0).
-     * The single-slot accessors below are the ring's first slot, which
-     * keeps the serial (one in-flight descriptor) layout unchanged.
-     */
+    /** Local physical address of the inbound descriptor ring (slot 0). */
     Addr
     inboxLocalPa() const
     {
@@ -66,20 +62,6 @@ class NxpPlatform : public MmioDevice
 
     /** Largest ring the 4 KB mailbox windows can hold. */
     static constexpr unsigned maxRingSlots = 32;
-
-    /** Local physical address of inbound ring slot @p slot. */
-    Addr
-    inboxSlotPa(unsigned slot) const
-    {
-        return inboxLocalPa() + slot * 128;
-    }
-
-    /** Local physical address of outbound ring slot @p slot. */
-    Addr
-    outboxSlotPa(unsigned slot) const
-    {
-        return outboxLocalPa() + slot * 128;
-    }
 
     /** Local DRAM bytes, from the base, reserved for the mailboxes. */
     static constexpr std::uint64_t reservedLocalBytes = 1ull << 20;

@@ -8,6 +8,7 @@
 #include "policy/residency_aware.hh"
 #include "sim/chaos.hh"
 #include "spec/speculation.hh"
+#include "vm/page_table.hh"
 
 namespace flick
 {
@@ -38,9 +39,7 @@ struct EnginePlacementView final : PlacementView
     {
         const auto &s = e._nxp[device];
         DeviceLoad l;
-        l.depth = s.h2d.inUse() +
-                  static_cast<unsigned>(s.h2dDeferred.size()) +
-                  (s.busy ? 1 : 0);
+        l.depth = static_cast<unsigned>(s.h2d.depth()) + (s.busy ? 1 : 0);
         l.busy = s.busy;
         l.quarantined = s.health == DeviceHealth::quarantined;
         return l;
@@ -61,9 +60,7 @@ struct EnginePlacementView final : PlacementView
     unsigned
     hostSpeedup() const override
     {
-        if (!e._timing.nxpFreqHz)
-            return 1;
-        auto r = e._timing.hostFreqHz / e._timing.nxpFreqHz;
+        auto r = e._hostClock.freqHz() / e._nxpClock.freqHz();
         return r ? static_cast<unsigned>(r) : 1;
     }
 
@@ -73,12 +70,11 @@ struct EnginePlacementView final : PlacementView
         PageResidency pr;
         if (!e._residency)
             return pr;
-        int level = 0;
-        std::uint64_t raw = e.leafPte(cr3, va, level);
-        if (!raw)
+        auto leaf = e._pageTables.findLeaf(cr3, va);
+        if (!leaf)
             return pr;
-        std::uint64_t granule = 4096ull << (9 * level);
-        Addr pa = (pte::entryAddr(raw) & ~(granule - 1)) +
+        std::uint64_t granule = 4096ull << (9 * leaf->level);
+        Addr pa = (pte::entryAddr(leaf->entry) & ~(granule - 1)) +
                   (va & (granule - 1));
         const PlatformConfig &p = e._mem.platform();
         unsigned dev;
@@ -163,11 +159,14 @@ CallFuture::value() const
 // --- Construction and registration --------------------------------------
 
 MigrationEngine::MigrationEngine(EventQueue &events, MemSystem &mem,
+                                 const PageTableManager &page_tables,
                                  Kernel &kernel, IrqController &irq,
                                  Core &host_core, const SystemConfig &config,
                                  const Layers &layers)
-    : _events(events), _mem(mem), _timing(config.timing), _kernel(kernel),
-      _irq(irq), _hostCore(host_core), _nxpStackBytes(config.nxpStackBytes),
+    : _events(events), _mem(mem), _pageTables(page_tables),
+      _timing(config.timing), _hostClock(_timing.hostClock()),
+      _nxpClock(_timing.nxpClock()), _kernel(kernel), _irq(irq),
+      _hostCore(host_core), _nxpStackBytes(config.nxpStackBytes),
       _batching(config.batching), _retryBudget(config.retryBudget),
       _callDeadline(config.callDeadline), _hostFallback(config.hostFallback),
       _strikeLimit(config.healthStrikeLimit ? config.healthStrikeLimit : 1),
@@ -183,26 +182,31 @@ void
 MigrationEngine::addNxpDevice(Core &core, NxpPlatform &platform,
                               DmaEngine &dma, RegionHeap &stack_heap,
                               Addr host_staging_pa, Addr host_inbox_pa,
-                              unsigned irq_vector, unsigned ring_slots,
-                              std::uint64_t freq_hz)
+                              unsigned irq_vector, unsigned ring_slots)
 {
     if (ring_slots == 0 || ring_slots > NxpPlatform::maxRingSlots)
         fatal("descriptor rings must have 1..%u slots",
               NxpPlatform::maxRingSlots);
+    unsigned device = static_cast<unsigned>(_nxp.size());
+    // Host DRAM offsets are host physical addresses; a device's DRAM
+    // offsets are its local addresses less the local DRAM base.
+    SparseMemory &host = _mem.hostDram();
+    SparseMemory &local = _mem.nxpDram(device);
+    Addr local_base = _mem.platform().nxpDramLocalBase;
+    Addr inbox = platform.inboxLocalPa();
+    Addr outbox = platform.outboxLocalPa();
     NxpSide s;
     s.core = &core;
     s.platform = &platform;
     s.dma = &dma;
     s.stackHeap = &stack_heap;
     s.irqVector = irq_vector;
-    s.clock = ClockDomain(freq_hz ? freq_hz : _timing.nxpFreqHz);
-    s.h2d = DescriptorRing(host_staging_pa, platform.inboxLocalPa(),
-                           ring_slots);
-    s.d2h = DescriptorRing(platform.outboxLocalPa(), host_inbox_pa,
-                           ring_slots);
+    s.h2d = DescriptorLink({&host, host_staging_pa, host_staging_pa},
+                           {&local, inbox, inbox - local_base}, ring_slots);
+    s.d2h = DescriptorLink({&local, outbox, outbox - local_base},
+                           {&host, host_inbox_pa, host_inbox_pa}, ring_slots);
     s.h2dOwner.resize(ring_slots);
     _nxp.push_back(std::move(s));
-    unsigned device = static_cast<unsigned>(_nxp.size() - 1);
     _irq.connect(irq_vector, [this, device] { hostIrq(device); });
 }
 
@@ -221,80 +225,6 @@ MigrationEngine::live(int pid, std::uint64_t id)
     if (it == _exec.end() || it->second.id != id)
         return nullptr;
     return &it->second;
-}
-
-Tick
-MigrationEngine::hostCycles(std::uint64_t n) const
-{
-    return _timing.hostClock().cycles(n);
-}
-
-Tick
-MigrationEngine::nxpCycles(unsigned device, std::uint64_t n) const
-{
-    // Each device has its own clock domain (addNxpDevice's freq_hz);
-    // homogeneous fabrics inherit the TimingConfig-wide nxpFreqHz and
-    // every domain is identical.
-    if (device >= _nxp.size())
-        panic("no NxP device %u", device);
-    return _nxp[device].clock.cycles(n);
-}
-
-std::uint64_t
-MigrationEngine::leafPte(Addr cr3, VAddr va, int &level) const
-{
-    Addr table = cr3;
-    for (level = 3; level >= 0; --level) {
-        std::uint64_t raw = 0;
-        _mem.readInt(Requester::debug, table + 8ull * tableIndex(va, level),
-                     8, raw);
-        if (!(raw & pte::present))
-            return 0;
-        if (level == 0 || (raw & pte::pageSize))
-            return raw;
-        table = pte::entryAddr(raw);
-    }
-    return 0;
-}
-
-// --- Descriptor-ring memory helpers -------------------------------------
-
-void
-MigrationEngine::writeHostStaging(const MigrationDescriptor &d,
-                                  unsigned device, unsigned slot)
-{
-    auto w = d.toWire();
-    _mem.hostDram().write(side(device).h2d.stagingPa(slot), w.data(),
-                          w.size());
-}
-
-MigrationDescriptor::Wire
-MigrationEngine::readNxpInboxWire(unsigned device, unsigned slot)
-{
-    MigrationDescriptor::Wire w{};
-    Addr off = side(device).h2d.mailboxPa(slot) -
-               _mem.platform().nxpDramLocalBase;
-    _mem.nxpDram(device).read(off, w.data(), w.size());
-    return w;
-}
-
-void
-MigrationEngine::writeNxpOutbox(const MigrationDescriptor &d,
-                                unsigned device, unsigned slot)
-{
-    auto w = d.toWire();
-    Addr off = side(device).d2h.stagingPa(slot) -
-               _mem.platform().nxpDramLocalBase;
-    _mem.nxpDram(device).write(off, w.data(), w.size());
-}
-
-MigrationDescriptor::Wire
-MigrationEngine::readHostInboxWire(unsigned device, unsigned slot)
-{
-    MigrationDescriptor::Wire w{};
-    _mem.hostDram().read(side(device).d2h.mailboxPa(slot), w.data(),
-                         w.size());
-    return w;
 }
 
 std::uint64_t
@@ -622,7 +552,8 @@ MigrationEngine::handleHostDescriptor(TaskExec &x, MigrationDescriptor d)
             _hnhTicks.inc(_events.now() - done.t0);
             // The measured end-to-end latency is the cost model's input
             // (ProfileGuidedPlacement); a no-feedback policy skips it.
-            recordPlacementOutcome(task, done);
+            feedModel(task.cr3, done.canonical, done.callee,
+                      _events.now() - done.t0);
             _hostCore.finishHijackedCall(d.retval);
             runHostSegment(x);
             return;
@@ -686,7 +617,8 @@ MigrationEngine::handleHostStop(TaskExec &x, RunResult r)
             x.frames.pop_back();
             _stats.inc(done.steered ? "placement.host_steered_returns"
                                     : "fallback_returns");
-            recordPlacementOutcome(task, done);
+            feedModel(task.cr3, done.canonical, hostSide,
+                      _events.now() - done.t0);
             _hostCore.finishHijackedCall(rv);
             runHostSegment(x);
             return;
@@ -815,13 +747,12 @@ MigrationEngine::crossingCostEstimate() const
     // Device: scheduler poll + doorbell read, descriptor parse, context
     // switch in; then (callee runs); then descriptor build, context
     // switch out, doorbell, and the d2h return DMA.
-    ClockDomain nxp = t.nxpClock();
-    Tick device_legs = nxp.cycles(t.nxpPollCycles) + t.nxpToLocalMmio +
-                       nxp.cycles(t.nxpDescriptorCycles) +
-                       t.nxpToNxpDram + nxp.cycles(t.nxpCtxSwitchCycles) +
-                       nxp.cycles(t.nxpDescriptorCycles) +
-                       t.nxpToNxpDram + nxp.cycles(t.nxpCtxSwitchCycles) +
-                       t.nxpToLocalMmio + t.dmaTransfer(wire);
+    Tick device_legs = nxpCycles(t.nxpPollCycles) + t.nxpToLocalMmio +
+                       nxpCycles(t.nxpDescriptorCycles) + t.nxpToNxpDram +
+                       nxpCycles(t.nxpCtxSwitchCycles) +
+                       nxpCycles(t.nxpDescriptorCycles) + t.nxpToNxpDram +
+                       nxpCycles(t.nxpCtxSwitchCycles) + t.nxpToLocalMmio +
+                       t.dmaTransfer(wire);
     // Host return leg: MSI delivery, IRQ wake, scheduler latency and
     // the ioctl exit back to user space.
     Tick host_back = t.irqDelivery + t.irqWake + t.wakeupToRun +
@@ -924,24 +855,20 @@ MigrationEngine::decidePlacement(TaskExec &x, VAddr target, unsigned home,
     return p;
 }
 
-void
-MigrationEngine::recordPlacementOutcome(Task &task, const CallFrame &frame)
+bool
+MigrationEngine::feedModel(Addr cr3, VAddr canonical, unsigned where,
+                           Tick latency)
 {
-    if (!_policy || !_policy->wantsFeedback() || frame.canonical == 0)
-        return;
-    // Both host-originated and device-originated (relayed) calls feed
-    // the model: a d2h or d2d round trip is as real a sample of its
-    // callee's cost as a host-side one, and relayed calls would
-    // otherwise never update the EWMAs at all.
-    Tick latency = _events.now() - frame.t0;
-    if (frame.callee == hostSide) {
-        _policy->recordHostCall(task.cr3, frame.canonical, latency);
+    if (!_policy || !_policy->wantsFeedback() || canonical == 0)
+        return false;
+    if (where == hostSide) {
+        _policy->recordHostCall(cr3, canonical, latency);
         _stats.inc("placement.model_updates");
     } else {
-        _policy->recordDeviceCall(task.cr3, frame.canonical, frame.callee,
-                                  latency);
-        protoStat("placement.model_updates", frame.callee);
+        _policy->recordDeviceCall(cr3, canonical, where, latency);
+        protoStat("placement.model_updates", where);
     }
+    return true;
 }
 
 // --- Speculative dual execution (DESIGN.md §16) --------------------------
@@ -951,17 +878,8 @@ MigrationEngine::launchSpeculation(TaskExec &x, unsigned device)
 {
     Task &task = *x.task;
     int pid = task.pid;
-    VAddr twin = x.specTwinVa;
-    x.specTwinVa = 0;
-    if (_spec->active()) {
-        // Another call won the race to the launch point first (cannot
-        // happen with one host core, but stay safe if that changes).
-        releaseHost();
-        return;
-    }
-    CallFrame &top = x.frames.back();
-
-    std::uint64_t seq = _spec->begin(pid, x.id, device, _events.now());
+    VAddr twin = _spec->twinVa();
+    std::uint64_t seq = _spec->begin(device, _events.now());
     protoStat("spec.launched", device);
     tracePoint(TracePoint::specLaunch, pid, x.id, device, twin);
 
@@ -979,22 +897,15 @@ MigrationEngine::launchSpeculation(TaskExec &x, unsigned device)
     _spec->beginSlice();
     // setupCall inside the slice: its return-address push is a
     // speculative store like any other.
-    _hostCore.setupCall(twin, argsOf(top));
+    _hostCore.setupCall(twin, argsOf(x.frames.back()));
     RunResult r = _hostCore.run(_spec->config().maxInstructions);
-    _spec->endSlice();
+    bool returned = r.stop == Fault::trampoline;
+    _spec->endSlice(r.elapsed, returned ? _hostCore.retVal() : 0);
     _hostCore.swapNativeHook(std::move(native));
-
-    bool committable = r.stop == Fault::trampoline && !_spec->doomed();
-    if (!committable && !_spec->doomed()) {
-        if (r.stop == Fault::none)
-            _spec->markDoomed("instruction budget");
-        else
-            _spec->markDoomed("twin fault");
-    }
-    _specRun.seq = seq;
-    _specRun.retVal = committable ? _hostCore.retVal() : 0;
-    _specRun.elapsed = r.elapsed;
-    _specRun.committable = committable;
+    if (r.stop == Fault::none)
+        _spec->markDoomed("instruction budget");
+    else if (!returned)
+        _spec->markDoomed("twin fault");
     after(r.elapsed, [this, pid, seq] { hostSpecFinished(pid, seq); });
 }
 
@@ -1008,7 +919,7 @@ MigrationEngine::hostSpecFinished(int pid, std::uint64_t seq)
     }
     unsigned device = _spec->device();
     TaskExec *xp = live(pid, _spec->callId());
-    if (!xp || !_specRun.committable || _spec->doomed()) {
+    if (!xp || _spec->doomed()) {
         // Doomed slice (fault, cap, native call) or the call died under
         // the race: wasted work, the NxP side carries on alone.
         tracePoint(TracePoint::specSquash, pid, _spec->callId(), device);
@@ -1024,7 +935,7 @@ MigrationEngine::commitHostSpec(TaskExec &x)
     Task &task = *x.task;
     int pid = task.pid;
     unsigned device = _spec->device();
-    std::uint64_t rv = _specRun.retVal;
+    std::uint64_t rv = _spec->hostRetVal();
 
     // Cut the losing NxP side before anything becomes guest-visible:
     // bumping the generation token makes every in-flight continuation
@@ -1039,15 +950,13 @@ MigrationEngine::commitHostSpec(TaskExec &x)
     // device-side latency sample; remember how to credit it.
     CallFrame done = x.frames.back();
     x.frames.pop_back();
-    if (_policy && _policy->wantsFeedback() && done.canonical) {
+    // The race measured the host side end to end for free.
+    if (feedModel(task.cr3, done.canonical, hostSide,
+                  _events.now() - done.t0)) {
         if (_specHarvest.size() >= 64)
             _specHarvest.erase(_specHarvest.begin());
         _specHarvest[{pid, old_id}] =
             {task.cr3, done.canonical, device, done.t0};
-        // The race measured the host side end to end for free.
-        _policy->recordHostCall(task.cr3, done.canonical,
-                                _events.now() - done.t0);
-        _stats.inc("placement.model_updates");
     }
 
     std::uint64_t replayed = _spec->commit();
@@ -1102,16 +1011,12 @@ MigrationEngine::harvestSpecSample(int pid, std::uint64_t call_id)
     if (it == _specHarvest.end())
         return;
     const SpecHarvest &h = it->second;
-    if (_policy && _policy->wantsFeedback()) {
-        // Slightly early versus the real wake path (the thread is gone,
-        // so there is no wakeupToRun/ioctlExit tail to wait out), but a
-        // genuine device-side round-trip sample — the second half of
-        // the race's free double-sample.
-        _policy->recordDeviceCall(h.cr3, h.canonical, h.device,
-                                  _events.now() - h.t0);
-        protoStat("placement.model_updates", h.device);
+    // Slightly early versus the real wake path (the thread is gone, so
+    // there is no wakeupToRun/ioctlExit tail to wait out), but a genuine
+    // device-side round-trip sample — the second half of the race's
+    // free double-sample.
+    if (feedModel(h.cr3, h.canonical, h.device, _events.now() - h.t0))
         protoStat("spec.double_samples", h.device);
-    }
     _specHarvest.erase(it);
 }
 
@@ -1141,8 +1046,10 @@ MigrationEngine::startHostToNxpCall(TaskExec &x, const Placed &p)
     // saved-context call has device state the host twin cannot
     // reproduce.
     if (_spec && x.frames.empty() && task.nxpSavedCtx.empty() &&
-        _spec->shouldSpeculate(p.confidencePct))
-        x.specTwinVa = fallbackVa(task.cr3, p.canonical);
+        _spec->shouldSpeculate(p.confidencePct)) {
+        if (VAddr twin = fallbackVa(task.cr3, p.canonical))
+            _spec->arm(pid, id, twin);
+    }
 
     protoStat("host_to_nxp_calls", device);
     CallFrame f{device, hostSide, _events.now()};
@@ -1152,7 +1059,6 @@ MigrationEngine::startHostToNxpCall(TaskExec &x, const Placed &p)
     // Kernel NX fault service: decode, save the faulting address in the
     // task_struct, hijack the return address to the migration handler,
     // then trap-exit into the hijacked user-space handler.
-    task.savedFaultAddr = target;
     tracePoint(TracePoint::hostNxFault, pid, id, device, target);
     afterLive(_timing.nxFaultService + _timing.faultTrapExit, pid, id,
               hostSide, [this, pid, id, target, device](TaskExec &w0) {
@@ -1247,7 +1153,8 @@ MigrationEngine::hostSendDescriptor(TaskExec &x, MigrationDescriptor d,
                 // An armed race consumes the just-freed host core for
                 // the speculative twin instead of giving it back
                 // (DESIGN.md §16).
-                if (w.specTwinVa && d.kind == DescriptorKind::hostToNxpCall)
+                if (_spec && _spec->armed(w.task->pid, w.id) &&
+                    d.kind == DescriptorKind::hostToNxpCall)
                     launchSpeculation(w, device);
                 else
                     releaseHost();
@@ -1280,16 +1187,9 @@ void
 MigrationEngine::stageHostToNxp(MigrationDescriptor d, unsigned device)
 {
     NxpSide &s = side(device);
-    if (s.h2d.full()) {
-        s.h2dDeferred.push_back(d);
-        return;
-    }
-    // The kernel stamps the link sequence number as it stages the
-    // descriptor; ship order is ring order, so the device expects
-    // exactly this sequence.
-    d.seq = ++s.h2dSendSeq;
-    unsigned slot = s.h2d.push();
-    writeHostStaging(d, device, slot);
+    unsigned slot = 0;
+    if (!s.h2d.stage(d, slot))
+        return; // deferred until the device frees a slot
     s.h2dOwner[slot] = {static_cast<int>(d.pid), d.callId};
     traceGauge(TraceGauge::h2dRing, device, s.h2d.inUse());
     if (!_batching) {
@@ -1399,33 +1299,15 @@ MigrationEngine::dispatchNxp(unsigned device)
     s.busy = true;
     // The NxP scheduler polls the DMA status register (Listing 2):
     // one poll iteration plus the status register read.
-    after(nxpCycles(device, _timing.nxpPollCycles) + _timing.nxpToLocalMmio,
+    after(nxpCycles(_timing.nxpPollCycles) + _timing.nxpToLocalMmio,
           [this, device] {
         // Fetch and parse the descriptor from the local inbox ring.
-        after(nxpCycles(device, _timing.nxpDescriptorCycles) +
+        after(nxpCycles(_timing.nxpDescriptorCycles) +
                   _timing.nxpToNxpDram,
               [this, device] {
-            NxpSide &t = side(device);
-            // A corrupted burst is NAKed and retransmitted from the
-            // host's intact staging copy.
             MigrationDescriptor d;
-            if (!verifyArrival(readNxpInboxWire(device, t.h2d.front()),
-                               t.h2dAcceptSeq, device, d)) {
-                nakH2d(device);
+            if (!acceptLanded(device, side(device).h2d, d))
                 return;
-            }
-            t.h2dAcceptSeq = d.seq;
-            t.h2dRetries = 0;
-            ++t.progress;
-            t.h2d.pop();
-            traceGauge(TraceGauge::h2dRing, device, t.h2d.inUse());
-            t.platform->consumeInbox();
-            // The freed slot unblocks a deferred host-side send.
-            if (!t.h2dDeferred.empty()) {
-                MigrationDescriptor dd = t.h2dDeferred.front();
-                t.h2dDeferred.pop_front();
-                stageHostToNxp(dd, device);
-            }
             // ACK through the control register.
             after(_timing.nxpToLocalMmio, [this, device, d] {
                 handleNxpDescriptor(device, d);
@@ -1452,7 +1334,7 @@ MigrationEngine::handleNxpDescriptor(unsigned device,
     }
     // Context switch the thread in: a call starts on the descriptor's
     // stack pointer, a return resumes the thread where it faulted.
-    after(nxpCycles(device, _timing.nxpCtxSwitchCycles), [this, device, d] {
+    after(nxpCycles(_timing.nxpCtxSwitchCycles), [this, device, d] {
         TaskExec *x = live(static_cast<int>(d.pid), d.callId);
         if (!x) {
             // The call this descriptor belongs to was failed or
@@ -1515,9 +1397,9 @@ MigrationEngine::resumeNxpCall(TaskExec &x, unsigned device,
         _stats.inc("nxp_to_nxp_roundtrips");
     }
     // Device-originated round trips feed the cost model too (the
-    // relayed-call feedback gap): the EWMAs would otherwise never learn
-    // from d2h or d2d calls.
-    recordPlacementOutcome(task, f);
+    // relayed-call feedback gap): a d2h or d2d round trip is as real a
+    // sample of its callee's cost as a host-side one.
+    feedModel(task.cr3, f.canonical, f.callee, _events.now() - f.t0);
     core.finishHijackedCall(d.retval);
     runNxpSegment(x, device);
 }
@@ -1627,14 +1509,13 @@ MigrationEngine::startNxpFaultMigration(TaskExec &x, VAddr target,
         std::uint64_t id = w.id;
         Core &core = *side(device).core;
 
-        int level = 0;
-        std::uint64_t entry = leafPte(task.cr3, target, level);
-        if (!entry) {
+        auto leaf = _pageTables.findLeaf(task.cr3, target);
+        if (!leaf) {
             fatal("guest on NxP %u jumped to unmapped address %#llx",
                   device, (unsigned long long)target);
         }
 
-        unsigned tag = pte::isaTag(entry);
+        unsigned tag = pte::isaTag(leaf->entry);
         unsigned dest = hostSide;
         if (tag != 0) {
             unsigned to = tag - nxpIsaTag;
@@ -1708,11 +1589,11 @@ MigrationEngine::deviceSendToHost(TaskExec &x, MigrationDescriptor d,
                                   unsigned device)
 {
     d.callId = x.id;
-    after(nxpCycles(device, _timing.nxpDescriptorCycles) +
+    after(nxpCycles(_timing.nxpDescriptorCycles) +
               _timing.nxpToNxpDram,
           [this, d, device] {
         // Context switch to the NxP scheduler, ring the DMA doorbell.
-        after(nxpCycles(device, _timing.nxpCtxSwitchCycles) +
+        after(nxpCycles(_timing.nxpCtxSwitchCycles) +
                   _timing.nxpToLocalMmio,
               [this, d, device] {
             NxpSide &s = side(device);
@@ -1734,13 +1615,9 @@ void
 MigrationEngine::fireNxpToHost(MigrationDescriptor d, unsigned device)
 {
     NxpSide &s = side(device);
-    if (s.d2h.full()) {
-        s.d2hDeferred.push_back(d);
-        return;
-    }
-    d.seq = ++s.d2hSendSeq;
-    unsigned slot = s.d2h.push();
-    writeNxpOutbox(d, device, slot);
+    unsigned slot = 0;
+    if (!s.d2h.stage(d, slot))
+        return; // deferred until the host frees a slot
     tracePoint(TracePoint::dmaToHostStart, static_cast<int>(d.pid),
                d.callId, device);
     traceGauge(TraceGauge::d2hRing, device, s.d2h.inUse());
@@ -1779,24 +1656,9 @@ MigrationEngine::hostIrq(unsigned device)
 void
 MigrationEngine::processHostInbox(unsigned device)
 {
-    NxpSide &s = side(device);
     MigrationDescriptor d;
-    if (!verifyArrival(readHostInboxWire(device, s.d2h.front()),
-                       s.d2hAcceptSeq, device, d)) {
-        nakD2h(device);
+    if (!acceptLanded(device, side(device).d2h, d))
         return;
-    }
-    s.d2hAcceptSeq = d.seq;
-    s.d2hRetries = 0;
-    ++s.progress;
-    --s.d2hLanded;
-    s.d2h.pop();
-    traceGauge(TraceGauge::d2hRing, device, s.d2h.inUse());
-    if (!s.d2hDeferred.empty()) {
-        MigrationDescriptor dd = s.d2hDeferred.front();
-        s.d2hDeferred.pop_front();
-        fireNxpToHost(dd, device);
-    }
     after(_timing.irqWake, [this, d, device] {
         int pid = static_cast<int>(d.pid);
         TaskExec *x = live(pid, d.callId);
@@ -1827,14 +1689,10 @@ MigrationEngine::processHostInbox(unsigned device)
                 // let the wake proceed on the freed core.
                 protoStat("spec.committed_nxp", device);
                 tracePoint(TracePoint::specSquash, pid, d.callId, device);
-                if (_specRun.committable && _policy &&
-                    _policy->wantsFeedback() && !x->frames.empty() &&
-                    x->frames.back().canonical) {
-                    _policy->recordHostCall(
-                        x->task->cr3, x->frames.back().canonical,
-                        _spec->launchTick() + _specRun.elapsed -
-                            x->frames.back().t0);
-                    _stats.inc("placement.model_updates");
+                if (!_spec->doomed() && !x->frames.empty()) {
+                    const CallFrame &top = x->frames.back();
+                    feedModel(x->task->cr3, top.canonical, hostSide,
+                              _spec->hostDoneTick() - top.t0);
                 }
                 retireSpec(false);
             } else {
@@ -1858,54 +1716,80 @@ MigrationEngine::processHostInbox(unsigned device)
 // --- Link integrity (NAK / retransmit / timeout) -------------------------
 
 bool
-MigrationEngine::verifyArrival(const MigrationDescriptor::Wire &w,
-                               std::uint64_t accepted, unsigned device,
-                               MigrationDescriptor &d)
+MigrationEngine::acceptLanded(unsigned device, DescriptorLink &link,
+                              MigrationDescriptor &d)
 {
-    if (!MigrationDescriptor::wireIntact(w))
+    MigrationDescriptor::Wire w = link.landed();
+    bool ok = MigrationDescriptor::wireIntact(w);
+    if (ok) {
+        d = MigrationDescriptor::fromWire(w);
+        ok = d.seq == link.acceptedSeq() + 1;
+        if (!ok)
+            protoStat("seq_mismatches", device);
+    }
+    if (!ok) {
+        nak(device, link);
         return false;
-    d = MigrationDescriptor::fromWire(w);
-    if (d.seq == accepted + 1)
-        return true;
-    protoStat("seq_mismatches", device);
-    return false;
+    }
+    NxpSide &s = side(device);
+    bool h2d = &link == &s.h2d;
+    ++s.progress;
+    MigrationDescriptor next;
+    bool unblocked = link.accept(d.seq, next);
+    traceGauge(h2d ? TraceGauge::h2dRing : TraceGauge::d2hRing, device,
+               link.inUse());
+    if (h2d)
+        s.platform->consumeInbox();
+    else
+        --s.d2hLanded;
+    // The freed slot unblocks a deferred send in the same direction.
+    if (unblocked && h2d)
+        stageHostToNxp(next, device);
+    else if (unblocked)
+        fireNxpToHost(next, device);
+    return true;
 }
 
 void
-MigrationEngine::nakH2d(unsigned device)
+MigrationEngine::nak(unsigned device, DescriptorLink &link)
 {
     NxpSide &s = side(device);
-    countRetry(s.h2dRetries, "host->NxP", device);
-    // The corrupt arrival is consumed; the retransmission will signal a
-    // fresh one. The host's staging copy of the head slot is intact, so
-    // the NAK just replays its DMA burst.
-    s.platform->consumeInbox();
-    unsigned slot = s.h2d.front();
-    NxpPlatform *platform = s.platform;
-    protoStat("doorbell_writes", device);
-    s.dma->copyHostToNxp(s.h2d.stagingPa(slot), s.h2d.mailboxPa(slot),
-                         MigrationDescriptor::wireBytes,
-                         [this, platform, device] {
-                             platform->inboxArrived();
-                             kickNxp(device);
-                         });
-    releaseNxp(device);
-}
-
-void
-MigrationEngine::nakD2h(unsigned device)
-{
-    NxpSide &s = side(device);
-    countRetry(s.d2hRetries, "NxP->host", device);
-    // The landed copy is trash; replay the outbox slot's burst. The
-    // watchdog armed at first fire keeps covering the retransmission's
-    // MSI, which may itself be lost.
-    --s.d2hLanded;
-    unsigned slot = s.d2h.front();
-    s.dma->copyNxpToHost(s.d2h.stagingPa(slot), s.d2h.mailboxPa(slot),
-                         MigrationDescriptor::wireBytes,
-                         static_cast<int>(s.irqVector),
-                         [this, device] { ++side(device).d2hLanded; });
+    bool h2d = &link == &s.h2d;
+    protoStat("naks", device);
+    if (link.nak() > _retryBudget) {
+        fatal("unrecoverable fabric fault: descriptor on the %s link of "
+              "NxP %u still corrupt after %u retransmissions%s",
+              h2d ? "host->NxP" : "NxP->host", device, _retryBudget,
+              _chaos ? strfmt(" (chaos seed %llu)",
+                              (unsigned long long)_chaos->seed())
+                           .c_str()
+                     : "");
+    }
+    protoStat("retries", device);
+    // The corrupt arrival is consumed; the sender's staging copy of the
+    // head slot is intact, so the NAK just replays its DMA burst.
+    unsigned slot = link.front();
+    if (h2d) {
+        // The retransmission will signal a fresh inbox arrival.
+        s.platform->consumeInbox();
+        NxpPlatform *platform = s.platform;
+        protoStat("doorbell_writes", device);
+        s.dma->copyHostToNxp(link.stagingPa(slot), link.mailboxPa(slot),
+                             DescriptorLink::slotBytes,
+                             [this, platform, device] {
+                                 platform->inboxArrived();
+                                 kickNxp(device);
+                             });
+        releaseNxp(device);
+    } else {
+        // The watchdog armed at first fire keeps covering the
+        // retransmission's MSI, which may itself be lost.
+        --s.d2hLanded;
+        s.dma->copyNxpToHost(link.stagingPa(slot), link.mailboxPa(slot),
+                             DescriptorLink::slotBytes,
+                             static_cast<int>(s.irqVector),
+                             [this, device] { ++side(device).d2hLanded; });
+    }
 }
 
 void
@@ -1918,7 +1802,7 @@ MigrationEngine::armD2hWatchdog(unsigned device, std::uint64_t seq)
     _events.scheduleIn(_timing.descriptorTimeout, "d2h-watchdog",
                        [this, device, seq] {
         NxpSide &s = side(device);
-        if (s.d2hAcceptSeq >= seq)
+        if (s.d2h.acceptedSeq() >= seq)
             return; // serviced in time; disarm
         if (s.d2hLanded == 0) {
             // Still in flight (delayed burst or pending retransmission);
@@ -1930,27 +1814,9 @@ MigrationEngine::armD2hWatchdog(unsigned device, std::uint64_t seq)
         // poll finds and services it.
         protoStat("timeouts", device);
         processHostInbox(device);
-        if (side(device).d2hAcceptSeq < seq)
+        if (side(device).d2h.acceptedSeq() < seq)
             armD2hWatchdog(device, seq); // NAKed; watch the retry
     });
-}
-
-void
-MigrationEngine::countRetry(unsigned &retries, const char *link,
-                            unsigned device)
-{
-    protoStat("naks", device);
-    if (++retries <= _retryBudget) {
-        protoStat("retries", device);
-        return;
-    }
-    fatal("unrecoverable fabric fault: descriptor on the %s link of "
-          "NxP %u still corrupt after %u retransmissions%s",
-          link, device, _retryBudget,
-          _chaos ? strfmt(" (chaos seed %llu)",
-                          (unsigned long long)_chaos->seed())
-                       .c_str()
-                 : "");
 }
 
 // --- Device health, deadlines and failover -------------------------------
@@ -2044,8 +1910,7 @@ MigrationEngine::strike(unsigned device)
 bool
 MigrationEngine::deviceIdle(const NxpSide &s) const
 {
-    return !s.busy && s.h2d.empty() && s.d2h.empty() &&
-           s.h2dDeferred.empty() && s.d2hDeferred.empty() &&
+    return !s.busy && s.h2d.depth() == 0 && s.d2h.depth() == 0 &&
            s.platform->pendingInbox() == 0 && !s.dma->busy();
 }
 
@@ -2069,8 +1934,6 @@ MigrationEngine::quarantineDevice(unsigned device)
     // but-unserviced returns, then fail every call that depends on it.
     s.h2d.drain();
     s.d2h.drain();
-    s.h2dDeferred.clear();
-    s.d2hDeferred.clear();
     s.d2hLanded = 0;
     // An open batch window dies with the rings; the epoch bump makes a
     // pending window-close event a no-op.

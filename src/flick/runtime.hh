@@ -18,8 +18,10 @@
  *     protocol leg occupies the core for exactly the time the serial
  *     protocol would.
  *   - Descriptors travel through per-device, per-direction descriptor
- *     rings (DescriptorRing) instead of single kernel-buffer/inbox
- *     slots, so several threads can be mid-migration on the same link.
+ *     links (DescriptorLink: a slot ring plus its sequence numbers and
+ *     backpressure queue) instead of single kernel-buffer/inbox slots,
+ *     so several threads can be mid-migration on the same link. Both
+ *     directions share one staging, accept and NAK path.
  *     Each NxP's scheduler works its inbox ring in FIFO order — its run
  *     list — while threads suspended mid-nested-call park their saved
  *     contexts on their Task.
@@ -40,7 +42,6 @@
 #define FLICK_FLICK_RUNTIME_HH
 
 #include <array>
-#include <deque>
 #include <map>
 #include <memory>
 #include <span>
@@ -51,7 +52,7 @@
 #include "flick/heap.hh"
 #include "flick/nxp_platform.hh"
 #include "flick/qos.hh"
-#include "flick/ring.hh"
+#include "flick/link.hh"
 #include "policy/policy.hh"
 #include "isa/core.hh"
 #include "mem/dma.hh"
@@ -66,6 +67,7 @@ namespace flick
 {
 
 class ChaosController;
+class PageTableManager;
 class PlacementPolicy;
 class ResidencyTracker;
 class SpeculationManager;
@@ -120,9 +122,11 @@ class MigrationEngine
      * Wire the engine to the machine. Of @p config it reads the timing,
      * NxP stack size, retry budget, call deadline, host fallback,
      * health strike limit, batching and QoS settings; @p config must
-     * outlive the engine.
+     * outlive the engine. @p page_tables answers the kernel's untimed
+     * PTE lookups.
      */
-    MigrationEngine(EventQueue &events, MemSystem &mem, Kernel &kernel,
+    MigrationEngine(EventQueue &events, MemSystem &mem,
+                    const PageTableManager &page_tables, Kernel &kernel,
                     IrqController &irq, Core &host_core,
                     const SystemConfig &config, const Layers &layers);
 
@@ -138,13 +142,11 @@ class MigrationEngine
      *        device's outbox slots DMA into.
      * @param irq_vector Host interrupt vector the device raises.
      * @param ring_slots Slots per direction (in-flight descriptor bound).
-     * @param freq_hz Device core frequency; 0 inherits TimingConfig's
-     *        nxpFreqHz (the homogeneous-fabric default).
      */
     void addNxpDevice(Core &core, NxpPlatform &platform, DmaEngine &dma,
                       RegionHeap &stack_heap, Addr host_staging_pa,
                       Addr host_inbox_pa, unsigned irq_vector,
-                      unsigned ring_slots, std::uint64_t freq_hz = 0);
+                      unsigned ring_slots);
 
     /**
      * Per-call knobs a submission may carry. Defaults leave the event
@@ -304,10 +306,6 @@ class MigrationEngine
         MigrationDescriptor wakeDesc;
         //! Set while a host-fallback re-dispatch waits for the core.
         bool pendingFallback = false;
-        //! Host twin VA of the speculative race a low-confidence
-        //! placement armed; consumed (and cleared) when the call
-        //! descriptor fires. 0 = none armed.
-        VAddr specTwinVa = 0;
         //! QoS tenant id (only meaningful with QoS enabled).
         unsigned tenant = 0;
         //! Admission time; the QoS cost model's sample starts here.
@@ -329,17 +327,11 @@ class MigrationEngine
         DmaEngine *dma;
         RegionHeap *stackHeap;
         unsigned irqVector;
-        //! This device's core clock (addNxpDevice's freq_hz, defaulting
-        //! to the TimingConfig-wide nxpFreqHz).
-        ClockDomain clock{1'000'000'000ull};
-        DescriptorRing h2d; //!< Host staging ring -> device inbox ring.
-        DescriptorRing d2h; //!< Device outbox ring -> host inbox ring.
+        DescriptorLink h2d; //!< Host staging ring -> device inbox ring.
+        DescriptorLink d2h; //!< Device outbox ring -> host inbox ring.
         //! The call each h2d ring slot was staged for, indexed by slot;
         //! what a burst's DMA completion traces.
         std::vector<SlotOwner> h2dOwner;
-        //! Descriptors waiting for a free slot (ring backpressure).
-        std::deque<MigrationDescriptor> h2dDeferred;
-        std::deque<MigrationDescriptor> d2hDeferred;
 
         // --- h2d batching state (SystemConfig::batching) ----------------
         //! Descriptors staged but not yet shipped in the open batch
@@ -370,14 +362,6 @@ class MigrationEngine
         //! When the segment occupying the core will retire; a busy core
         //! before this tick is computing, not wedged.
         Tick segmentEnd = 0;
-
-        // --- Link integrity state (sequence numbers, retry budgets) ---
-        std::uint64_t h2dSendSeq = 0;   //!< Last seq sent host->device.
-        std::uint64_t h2dAcceptSeq = 0; //!< Last seq accepted by device.
-        std::uint64_t d2hSendSeq = 0;   //!< Last seq sent device->host.
-        std::uint64_t d2hAcceptSeq = 0; //!< Last seq accepted by host.
-        unsigned h2dRetries = 0; //!< Consecutive NAKs, host->device link.
-        unsigned d2hRetries = 0; //!< Consecutive NAKs, device->host link.
         //! Descriptors whose d2h DMA landed but are not yet serviced;
         //! the guard that makes duplicated or stale MSIs harmless.
         unsigned d2hLanded = 0;
@@ -486,16 +470,22 @@ class MigrationEngine
      *  to the placed device. */
     void startHostToNxpCall(TaskExec &x, const Placed &p);
 
-    /** Feed a completed call's latency to the policy's cost model. */
-    void recordPlacementOutcome(Task &task, const CallFrame &frame);
+    /**
+     * Feed one measured call @p latency of @p canonical to the policy's
+     * cost model, as a host sample (@p where is hostSide) or a sample
+     * of device @p where. A no-feedback policy, or a call without a
+     * home symbol, feeds nothing: returns false.
+     */
+    bool feedModel(Addr cr3, VAddr canonical, unsigned where, Tick latency);
 
     // --- Speculative dual execution (DESIGN.md §16) --------------------
 
     /**
      * The descriptor for @p x's armed low-confidence call just fired at
      * @p device: keep the host core (instead of releasing it) and run
-     * the host twin speculatively, stores buffered by the manager.
-     * Schedules hostSpecFinished at the slice's charged end time.
+     * the armed host twin speculatively, stores buffered by the
+     * manager, which also keeps the slice's outcome. Schedules
+     * hostSpecFinished at the slice's charged end time.
      */
     void launchSpeculation(TaskExec &x, unsigned device);
 
@@ -579,14 +569,6 @@ class MigrationEngine
                                 unsigned device);
 
     /**
-     * The leaf PTE mapping @p va in address space @p cr3, read through
-     * an untimed debug walk (kernel metadata lookups must not perturb
-     * timing or stats); 0 when @p va is unmapped. @p level receives the
-     * leaf's level (0 = 4K page).
-     */
-    std::uint64_t leafPte(Addr cr3, VAddr va, int &level) const;
-
-    /**
      * Ship @p d to the host (outbox stage + doorbell + DMA), then
      * release the device core.
      */
@@ -608,19 +590,23 @@ class MigrationEngine
      */
     void processHostInbox(unsigned device);
 
-    /** Device rejected its inbox head: retransmit from staging. */
-    void nakH2d(unsigned device);
-    /** Host rejected its inbox head: retransmit from the outbox. */
-    void nakD2h(unsigned device);
+    /**
+     * The receiver side of @p device's @p link reads the head
+     * descriptor that landed in its mailbox. Verify it before trusting
+     * any field: its checksum, and that its sequence number follows the
+     * last accepted one (a mismatch is counted). A bad arrival is NAKed
+     * and false returned; a good one is decoded into @p d and accepted,
+     * which frees its slot for a deferred descriptor.
+     */
+    bool acceptLanded(unsigned device, DescriptorLink &link,
+                      MigrationDescriptor &d);
 
     /**
-     * Verify landed descriptor @p w before trusting any field in it:
-     * its checksum, and that its sequence number follows @p accepted
-     * (a mismatch is counted). Decodes it into @p d.
+     * The receiver rejected @p link's head: count the NAK and replay
+     * the head slot's DMA burst from the sender's intact staging copy.
+     * A rejecting device gives its core back.
      */
-    bool verifyArrival(const MigrationDescriptor::Wire &w,
-                       std::uint64_t accepted, unsigned device,
-                       MigrationDescriptor &d);
+    void nak(unsigned device, DescriptorLink &link);
 
     /**
      * Arm (or re-arm) the lost-MSI watchdog for d2h descriptor @p seq.
@@ -628,13 +614,6 @@ class MigrationEngine
      * stream carries no watchdog events at all.
      */
     void armD2hWatchdog(unsigned device, std::uint64_t seq);
-
-    /**
-     * Count a NAK and the retransmission it triggers on @p device's
-     * @p link; die naming the link and chaos seed once @p retries
-     * consecutive NAKs exhaust the retry budget.
-     */
-    void countRetry(unsigned &retries, const char *link, unsigned device);
 
     // --- Device health, deadlines and failover -------------------------
 
@@ -785,17 +764,8 @@ class MigrationEngine
         });
     }
 
-    Tick hostCycles(std::uint64_t n) const;
-    Tick nxpCycles(unsigned device, std::uint64_t n) const;
-
-    void writeHostStaging(const MigrationDescriptor &d, unsigned device,
-                          unsigned slot);
-    MigrationDescriptor::Wire readNxpInboxWire(unsigned device,
-                                               unsigned slot);
-    void writeNxpOutbox(const MigrationDescriptor &d, unsigned device,
-                        unsigned slot);
-    MigrationDescriptor::Wire readHostInboxWire(unsigned device,
-                                                unsigned slot);
+    Tick hostCycles(std::uint64_t n) const { return _hostClock.cycles(n); }
+    Tick nxpCycles(std::uint64_t n) const { return _nxpClock.cycles(n); }
 
     /** Current NxP stack pointer for a (possibly nested) call. */
     std::uint64_t currentNxpSp(const Task &task, unsigned device) const;
@@ -830,7 +800,10 @@ class MigrationEngine
 
     EventQueue &_events;
     MemSystem &_mem;
+    const PageTableManager &_pageTables;
     const TimingConfig &_timing;
+    const ClockDomain _hostClock;
+    const ClockDomain _nxpClock; //!< Every device's core clock.
     Kernel &_kernel;
     IrqController &_irq;
     Core &_hostCore;
@@ -871,16 +844,6 @@ class MigrationEngine
     //! The candidates of the current placement decision; reused so a
     //! decision allocates nothing.
     PlacementCandidates _cands;
-    //! Outcome of the current speculative host slice, consumed by
-    //! hostSpecFinished (guarded by the manager's seq against staleness).
-    struct SpecRun
-    {
-        std::uint64_t seq = 0;
-        std::uint64_t retVal = 0;
-        Tick elapsed = 0;
-        bool committable = false;
-    };
-    SpecRun _specRun;
     //! How to credit the straggler d2h return of a host-committed race
     //! to the cost model, keyed by (pid, pre-commit call id).
     struct SpecHarvest

@@ -29,13 +29,12 @@ hostCoreParams(const TimingConfig &t, bool decode_cache)
 }
 
 CoreParams
-nxpCoreParams(const TimingConfig &t, unsigned device, std::uint64_t freq_hz,
-              bool decode_cache)
+nxpCoreParams(const TimingConfig &t, unsigned device, bool decode_cache)
 {
     CoreParams p;
     p.name = device == 0 ? "nxp" : "nxp" + std::to_string(device + 1);
     p.requester = nxpCoreRequester(device);
-    p.freqHz = freq_hz;
+    p.freqHz = t.nxpFreqHz;
     p.itlbEntries = t.nxpItlbEntries;
     p.dtlbEntries = t.nxpDtlbEntries;
     p.walkOverhead = t.nxpMmuWalkOverhead;
@@ -51,9 +50,7 @@ nxpCoreParams(const TimingConfig &t, unsigned device, std::uint64_t freq_hz,
 } // namespace
 
 FlickSystem::NxpDevice::NxpDevice(FlickSystem &sys, unsigned device)
-    : core(nxpCoreParams(sys._config.timing, device,
-                         sys._config.deviceFrequency(device),
-                         sys._config.decodeCache),
+    : core(nxpCoreParams(sys._config.timing, device, sys._config.decodeCache),
            sys._mem),
       ctrl(sys._mem, device),
       dma(sys._events, sys._mem, &sys._irq, device),
@@ -144,7 +141,7 @@ FlickSystem::FlickSystem(SystemConfig config)
     }
 
     _engine = std::make_unique<MigrationEngine>(
-        _events, _mem, _kernel, _irq, _hostCore, _config,
+        _events, _mem, _ptm, _kernel, _irq, _hostCore, _config,
         MigrationEngine::Layers{.chaos = &_chaos,
                                 .tracer = &_tracer,
                                 .policy = _placement.get(),
@@ -160,13 +157,13 @@ FlickSystem::FlickSystem(SystemConfig config)
         slots = 1;
     if (slots > NxpPlatform::maxRingSlots)
         slots = NxpPlatform::maxRingSlots;
-    std::uint64_t ring_bytes = slots * DescriptorRing::slotBytes;
+    std::uint64_t ring_bytes = slots * DescriptorLink::slotBytes;
     for (unsigned k = 0; k < _devices.size(); ++k) {
         NxpDevice &d = *_devices[k];
         Addr staging = _hostAlloc.allocate(ring_bytes);
         Addr inbox = _hostAlloc.allocate(ring_bytes);
         _engine->addNxpDevice(d.core, d.ctrl, d.dma, d.windowHeap, staging,
-                              inbox, k, slots, _config.deviceFrequency(k));
+                              inbox, k, slots);
     }
 
     if (_config.migration.enabled) {

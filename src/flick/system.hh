@@ -125,13 +125,6 @@ struct SystemConfig
     /** A caller-supplied policy instance; overrides `placement`. */
     std::shared_ptr<PlacementPolicy> placementPolicy;
     /**
-     * Per-device core frequency overrides in Hz, indexed by device
-     * (0 / absent = timing.nxpFreqHz). A heterogeneous fabric — a fast
-     * near-NIC NxP next to slower near-storage ones — is configured by
-     * overriding individual devices.
-     */
-    std::vector<std::uint64_t> deviceFreqHz;
-    /**
      * Coalesce same-device migration descriptors staged within
      * timing.dmaBatchWindow into one chained DMA burst and one doorbell
      * write (DESIGN.md §12). Opt-in: with batching off (the default) the
@@ -189,26 +182,6 @@ struct SystemConfig
     withDevices(unsigned count)
     {
         platform.nxpDeviceCount = count;
-        return *this;
-    }
-
-    /** Override device @p device's core frequency (Hz). */
-    SystemConfig &
-    withDeviceFrequency(unsigned device, std::uint64_t hz)
-    {
-        if (deviceFreqHz.size() <= device)
-            deviceFreqHz.resize(device + 1, 0);
-        deviceFreqHz[device] = hz;
-        return *this;
-    }
-
-    /** Override device @p device's local DRAM size. */
-    SystemConfig &
-    withDeviceDramBytes(unsigned device, std::uint64_t bytes)
-    {
-        if (platform.deviceDramOverride.size() <= device)
-            platform.deviceDramOverride.resize(device + 1, 0);
-        platform.deviceDramOverride[device] = bytes;
         return *this;
     }
 
@@ -300,15 +273,6 @@ struct SystemConfig
         speculation = cfg;
         speculation.enabled = true;
         return *this;
-    }
-
-    /** Effective core frequency of device @p device. */
-    std::uint64_t
-    deviceFrequency(unsigned device) const
-    {
-        if (device < deviceFreqHz.size() && deviceFreqHz[device])
-            return deviceFreqHz[device];
-        return timing.nxpFreqHz;
     }
 
     SystemConfig &

@@ -45,30 +45,44 @@ Kernel::exitTask(Task &task)
 void
 Kernel::enqueueRunnable(Task &task)
 {
-    _runQueue.push_back(&task);
+    if (task.runQueued)
+        panic("task %d enqueued on the host run queue twice", task.pid);
+    task.runQueued = true;
+    (_runTail ? _runTail->runNext : _runHead) = &task;
+    _runTail = &task;
+    ++_runDepth;
 }
 
 Task *
 Kernel::nextRunnable()
 {
-    if (_runQueue.empty())
-        return nullptr;
-    Task *t = _runQueue.front();
-    _runQueue.pop_front();
+    Task *t = _runHead;
+    if (t)
+        unlinkRunnable(nullptr, *t);
     return t;
 }
 
 void
 Kernel::removeFromRunQueue(Task &task)
 {
-    for (auto it = _runQueue.begin(); it != _runQueue.end();) {
-        if (*it == &task) {
-            it = _runQueue.erase(it);
-            _stats.inc("runqueue_removals");
-        } else {
-            ++it;
-        }
-    }
+    if (!task.runQueued)
+        return;
+    Task *prev = nullptr;
+    for (Task *t = _runHead; t != &task; t = t->runNext)
+        prev = t;
+    unlinkRunnable(prev, task);
+    _stats.inc("runqueue_removals");
+}
+
+void
+Kernel::unlinkRunnable(Task *prev, Task &task)
+{
+    (prev ? prev->runNext : _runHead) = task.runNext;
+    if (_runTail == &task)
+        _runTail = prev;
+    task.runNext = nullptr;
+    task.runQueued = false;
+    --_runDepth;
 }
 
 void

@@ -14,7 +14,6 @@
 #define FLICK_OS_KERNEL_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -77,11 +76,11 @@ class Kernel
     Task *nextRunnable();
 
     /** Number of tasks queued for the host core. */
-    std::size_t runQueueDepth() const { return _runQueue.size(); }
+    std::size_t runQueueDepth() const { return _runDepth; }
 
     /**
-     * Remove every queued occurrence of @p task (its call failed or was
-     * cancelled while waiting for the host core).
+     * Remove @p task from the run queue if it is queued (its call failed
+     * or was cancelled while waiting for the host core).
      */
     void removeFromRunQueue(Task &task);
 
@@ -136,10 +135,15 @@ class Kernel
 
   private:
     void traceInstant(TracePoint p, const Task &task);
+    /** Unlink queued @p task, which follows @p prev (nullptr: head). */
+    void unlinkRunnable(Task *prev, Task &task);
 
     int _nextPid = 1000;
     std::vector<std::unique_ptr<Task>> _tasks;
-    std::deque<Task *> _runQueue;
+    //! The host run queue, linked through Task::runNext.
+    Task *_runHead = nullptr;
+    Task *_runTail = nullptr;
+    std::size_t _runDepth = 0;
     StatGroup _stats;
     // Per-crossing counters, interned.
     StatGroup::Counter _nxFaults{_stats, "nx_faults"};

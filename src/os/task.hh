@@ -89,9 +89,6 @@ struct Task
     NxpStackTops nxpStackTop;
     std::uint64_t nxpStackBytes = 0;
 
-    /** Faulting address saved by the modified page fault handler. */
-    VAddr savedFaultAddr = 0;
-
     /**
      * Set before suspension so the scheduler triggers the descriptor DMA
      * after the context switch (the race-condition fix of Section IV-D).
@@ -116,6 +113,12 @@ struct Task
 
     /** Completed thread-migration round trips. */
     std::uint64_t migrations = 0;
+
+    /** Next thread on the kernel's host run queue (an intrusive FIFO,
+     *  so queueing a thread never allocates). */
+    Task *runNext = nullptr;
+    /** On the host run queue now; a second enqueue is a bug. */
+    bool runQueued = false;
 };
 
 } // namespace flick

@@ -102,15 +102,22 @@ SpeculationManager::~SpeculationManager()
     _mem.setSpecHook(nullptr);
 }
 
-std::uint64_t
-SpeculationManager::begin(int pid, std::uint64_t call_id, unsigned device,
-                          Tick now)
+void
+SpeculationManager::arm(int pid, std::uint64_t call_id, VAddr twin_va)
 {
     if (_active)
-        panic("speculation begun while one is already in flight");
+        panic("speculation armed while one is already in flight");
     _ctx = SpecContext{};
     _ctx.pid = pid;
     _ctx.callId = call_id;
+    _ctx.twinVa = twin_va;
+}
+
+std::uint64_t
+SpeculationManager::begin(unsigned device, Tick now)
+{
+    if (_active || !_ctx.twinVa)
+        panic("speculation launched without an armed race");
     _ctx.device = device;
     _ctx.launchTick = now;
     _active = true;

@@ -44,6 +44,7 @@
 
 #include "mem/mem_system.hh"
 #include "sim/ticks.hh"
+#include "vm/pte.hh"
 
 namespace flick
 {
@@ -158,14 +159,19 @@ class RWSet
 /**
  * The per-call speculation state machine (at most one in flight: the
  * speculative twin occupies the host core for its whole lifetime, so a
- * second call cannot reach the launch point while one is active).
+ * second call cannot reach the launch point while one is active). It
+ * is the one owner of a race's state, from arming to resolution.
  */
 struct SpecContext
 {
     int pid = 0;                //!< Task the raced call belongs to.
     std::uint64_t callId = 0;   //!< Generation token of the raced call.
+    VAddr twinVa = 0;           //!< Host twin the race runs; 0 = unarmed.
     unsigned device = 0;        //!< Device the non-speculative side runs on.
     Tick launchTick = 0;        //!< When the host twin was launched.
+    //! The host slice's charged time and (when it returned) its value.
+    Tick hostElapsed = 0;
+    std::uint64_t hostRetVal = 0;
     WriteBuffer buffer;         //!< Speculative stores, commit-pending.
     RWSet rwset;                //!< Pages the speculative run touched.
     bool doomed = false;        //!< Fault/overflow/native call: cannot commit.
@@ -209,19 +215,45 @@ class SpeculationManager final : public SpecMemHook
 
     // --- Lifecycle, driven by the MigrationEngine -----------------------
 
-    /** Open a context for (pid, callId) racing @p device; returns seq. */
-    std::uint64_t begin(int pid, std::uint64_t call_id, unsigned device,
-                        Tick now);
+    /**
+     * Arm a race for call (@p pid, @p call_id): its host twin
+     * @p twin_va launches when the call's descriptor fires. Replaces an
+     * armed race that never launched (its call died first).
+     */
+    void arm(int pid, std::uint64_t call_id, VAddr twin_va);
 
-    /** The host core starts/stops executing the speculative twin. */
+    /** Is a race armed, not yet launched, for (pid, callId)? */
+    bool
+    armed(int pid, std::uint64_t call_id) const
+    {
+        return !_active && _ctx.twinVa && _ctx.pid == pid &&
+               _ctx.callId == call_id;
+    }
+
+    /** Launch the armed race against @p device; returns seq. */
+    std::uint64_t begin(unsigned device, Tick now);
+
+    /** The host core starts executing the speculative twin. */
     void beginSlice() { _slice = true; }
-    void endSlice() { _slice = false; }
+    /** The twin's slice ended after @p elapsed ticks, returning
+     *  @p ret_val if it returned at all. */
+    void
+    endSlice(Tick elapsed, std::uint64_t ret_val)
+    {
+        _slice = false;
+        _ctx.hostElapsed = elapsed;
+        _ctx.hostRetVal = ret_val;
+    }
 
     /** The racing NxP twin starts/stops a slice on @p device's core. */
     void beginDeviceWindow(unsigned device);
     void endDeviceWindow() { _deviceWindow = false; }
 
-    /** Mark the speculation non-committable (fault, overflow, native). */
+    /**
+     * Mark the speculation non-committable (fault, overflow, native).
+     * Only the host slice and its end doom a race, so from then on
+     * !doomed() is the race's committability.
+     */
     void markDoomed(const char *why);
 
     /**
@@ -246,8 +278,12 @@ class SpeculationManager final : public SpecMemHook
     std::uint64_t seq() const { return _seq; }
     int pid() const { return _ctx.pid; }
     std::uint64_t callId() const { return _ctx.callId; }
+    VAddr twinVa() const { return _ctx.twinVa; }
     unsigned device() const { return _ctx.device; }
     Tick launchTick() const { return _ctx.launchTick; }
+    /** When the host twin's slice finished, in charged time. */
+    Tick hostDoneTick() const { return _ctx.launchTick + _ctx.hostElapsed; }
+    std::uint64_t hostRetVal() const { return _ctx.hostRetVal; }
     bool doomed() const { return _ctx.doomed; }
     const char *doomReason() const { return _ctx.doomReason; }
     bool conflicted() const { return _ctx.conflicted; }

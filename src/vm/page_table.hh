@@ -91,6 +91,22 @@ class PageTableManager
     /** Zero-latency walk for tests and the loader. */
     std::optional<DebugTranslation> translate(Addr cr3, VAddr va) const;
 
+    /** A leaf entry and where it sits. */
+    struct LeafRef
+    {
+        Addr table;
+        unsigned index;
+        int level; //!< 0 for a 4K page, 1 for 2M, 2 for 1G.
+        std::uint64_t entry;
+    };
+
+    /**
+     * Locate the leaf entry covering @p va through the zero-latency
+     * debug port (the kernel's metadata lookups perturb no timing or
+     * counter); nullopt when @p va is unmapped.
+     */
+    std::optional<LeafRef> findLeaf(Addr cr3, VAddr va) const;
+
     /** Number of table pages allocated so far. */
     std::uint64_t tablePages() const { return _tablePages; }
 
@@ -110,16 +126,6 @@ class PageTableManager
 
     /** Leaf level for a granule: 0 for 4K, 1 for 2M, 2 for 1G. */
     static int leafLevel(PageSize size);
-
-    /** Locate the leaf entry covering @p va. */
-    struct LeafRef
-    {
-        Addr table;
-        unsigned index;
-        int level;
-        std::uint64_t entry;
-    };
-    std::optional<LeafRef> findLeaf(Addr cr3, VAddr va) const;
 
     MemSystem &_mem;
     PhysAllocator &_alloc;

@@ -114,7 +114,8 @@ TEST(AllocationGate, PlacementBatchingCall)
 }
 
 /** NxP->Host->NxP: the callbacks of one NxP loop, less the loop's own
- *  call. */
+ *  call. The host run queue is intrusive, so a crossing allocates
+ *  nothing at all. */
 TEST(AllocationGate, CallbackCrossing)
 {
     Warm w;
@@ -125,7 +126,7 @@ TEST(AllocationGate, CallbackCrossing)
     ASSERT_GE(with_loop, without);
     double per_crossing = double(with_loop - without) / crossings;
     RecordProperty("allocs_per_crossing", std::to_string(per_crossing));
-    EXPECT_LE(per_crossing, 0.05);
+    EXPECT_LE(per_crossing, 0.005);
 }
 
 } // namespace
