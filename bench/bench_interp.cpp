@@ -62,7 +62,7 @@ cpuSeconds()
 /** A bare core's world: one executable page, nothing else. */
 struct LoopEnv
 {
-    LoopEnv() : mem(timing, platform), alloc("bench", 0x100000, 16 << 20),
+    LoopEnv() : mem(timing, platform), alloc("bench", 0x100000, 16 << 20, 4096),
                 ptm(mem, alloc)
     {
         cr3 = ptm.createRoot();
@@ -81,7 +81,7 @@ struct LoopEnv
     TimingConfig timing;
     PlatformConfig platform;
     MemSystem mem;
-    PhysAllocator alloc;
+    RangeAllocator alloc;
     PageTableManager ptm;
     Addr cr3 = 0;
     Addr text_pa = 0;

@@ -11,7 +11,7 @@ namespace flick
 
 PageMigrator::PageMigrator(EventQueue &events, MemSystem &mem,
                            PageTableManager &ptm, ResidencyTracker &tracker,
-                           PhysAllocator &host_alloc,
+                           RangeAllocator &host_alloc,
                            const MigrationConfig &config)
     : _events(events), _mem(mem), _ptm(ptm), _tracker(tracker),
       _hostAlloc(host_alloc), _cfg(config), _stats("flick.residency")
@@ -19,7 +19,7 @@ PageMigrator::PageMigrator(EventQueue &events, MemSystem &mem,
 }
 
 void
-PageMigrator::addDevice(DmaEngine *dma, RegionHeap *window_heap)
+PageMigrator::addDevice(DmaEngine *dma, RangeAllocator *window_heap)
 {
     _dmas.push_back(dma);
     _heaps.push_back(window_heap);
@@ -44,18 +44,6 @@ PageMigrator::manage(Addr cr3, VAddr va, std::uint64_t bytes)
     _stats.set("pages_managed", _pages.size());
 }
 
-int
-PageMigrator::holderOf(Addr pa) const
-{
-    const PlatformConfig &p = _mem.platform();
-    if (p.inHostDram(pa))
-        return -1;
-    unsigned dev;
-    if (p.inBarDram(pa, dev))
-        return static_cast<int>(dev);
-    return -2;
-}
-
 bool
 PageMigrator::migrateNow(Addr cr3, VAddr va, int dest)
 {
@@ -63,7 +51,7 @@ PageMigrator::migrateNow(Addr cr3, VAddr va, int dest)
     auto tr = _ptm.translate(cr3, page);
     if (!tr || tr->size != PageSize::size4K)
         return false;
-    if (holderOf(tr->pa & ~Addr(4095)) == dest)
+    if (_mem.platform().holderOf(tr->pa & ~Addr(4095)) == dest)
         return false;
     if (dest >= static_cast<int>(_dmas.size()) || dest < -1)
         return false;
@@ -115,7 +103,7 @@ PageMigrator::scan()
         if (best * 100 < total * _cfg.dominancePct)
             continue;
 
-        int holder = holderOf(frame);
+        int holder = _mem.platform().holderOf(frame);
         int dest = best_a == 0 ? -1 : static_cast<int>(best_a - 1);
         if (dest == holder || holder == -2)
             continue;
@@ -150,7 +138,7 @@ PageMigrator::pump()
             continue;
         }
         Addr frame = tr->pa & ~Addr(4095);
-        int holder = holderOf(frame);
+        int holder = _mem.platform().holderOf(frame);
         if (holder == plan.dest || holder == -2) {
             _queue.pop_front();
             continue;
@@ -178,7 +166,7 @@ PageMigrator::pump()
         if (plan.dest < 0) {
             f.newPa = _hostAlloc.allocate(4096);
         } else {
-            RegionHeap *heap = _heaps.at(plan.dest);
+            RangeAllocator *heap = _heaps.at(plan.dest);
             f.destWinVa = heap->allocate(4096, 4096);
             std::uint64_t off =
                 f.destWinVa - layout::nxpWindowBaseFor(plan.dest);
@@ -240,7 +228,7 @@ PageMigrator::commit()
     for (Mmu *m : _mmus)
         m->flushTlbs();
     if (fin.holder < 0) {
-        _hostAlloc.free(fin.oldPa, 4096);
+        _hostAlloc.free(fin.oldPa);
     } else {
         const PlatformConfig &p = _mem.platform();
         _heaps.at(fin.holder)->free(layout::nxpWindowBaseFor(fin.holder) +
@@ -279,7 +267,7 @@ PageMigrator::abortMigration()
     InFlight fin = *_inFlight;
     _inFlight.reset();
     if (fin.plan.dest < 0)
-        _hostAlloc.free(fin.newPa, 4096);
+        _hostAlloc.free(fin.newPa);
     else
         _heaps.at(fin.plan.dest)->free(fin.destWinVa);
     _stats.inc("migration_aborts");

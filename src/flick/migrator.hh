@@ -30,14 +30,13 @@
 #include <optional>
 #include <vector>
 
-#include "flick/heap.hh"
 #include "mem/dma.hh"
 #include "mem/mem_system.hh"
 #include "mem/residency.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
 #include "vm/page_table.hh"
-#include "vm/phys_allocator.hh"
+#include "vm/range_allocator.hh"
 
 namespace flick
 {
@@ -81,11 +80,11 @@ class PageMigrator : public DecodeSink
 {
   public:
     PageMigrator(EventQueue &events, MemSystem &mem, PageTableManager &ptm,
-                 ResidencyTracker &tracker, PhysAllocator &host_alloc,
+                 ResidencyTracker &tracker, RangeAllocator &host_alloc,
                  const MigrationConfig &config);
 
     /** Register device @p k's DMA engine and window heap (frame source). */
-    void addDevice(DmaEngine *dma, RegionHeap *window_heap);
+    void addDevice(DmaEngine *dma, RangeAllocator *window_heap);
 
     /** Register a core MMU for post-remap TLB shootdown. */
     void addMmu(Mmu *mmu) { _mmus.push_back(mmu); }
@@ -137,9 +136,6 @@ class PageMigrator : public DecodeSink
         unsigned retries = 0;
     };
 
-    /** DRAM holding host-space frame @p pa: -1 host, k device, -2 other. */
-    int holderOf(Addr pa) const;
-
     void scan();
     void pump();
     void issueCopy();
@@ -152,10 +148,10 @@ class PageMigrator : public DecodeSink
     MemSystem &_mem;
     PageTableManager &_ptm;
     ResidencyTracker &_tracker;
-    PhysAllocator &_hostAlloc;
+    RangeAllocator &_hostAlloc;
     MigrationConfig _cfg;
     std::vector<DmaEngine *> _dmas;
-    std::vector<RegionHeap *> _heaps;
+    std::vector<RangeAllocator *> _heaps;
     std::vector<Mmu *> _mmus;
 
     struct ManagedPage

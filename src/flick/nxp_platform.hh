@@ -33,9 +33,7 @@ class NxpPlatform : public MmioDevice
 
     explicit NxpPlatform(MemSystem &mem, unsigned device = 0)
         : _mem(mem), _device(device),
-          _stats(device == 0
-                     ? "nxp_platform"
-                     : "nxp" + std::to_string(device + 1) + "_platform")
+          _stats(nxpDeviceName(device) + "_platform")
     {
         _mem.mapControlDevice(this, device);
     }

@@ -70,23 +70,15 @@ struct EnginePlacementView final : PlacementView
         PageResidency pr;
         if (!e._residency)
             return pr;
-        auto leaf = e._pageTables.findLeaf(cr3, va);
-        if (!leaf)
-            return pr;
-        std::uint64_t granule = 4096ull << (9 * leaf->level);
-        Addr pa = (pte::entryAddr(leaf->entry) & ~(granule - 1)) +
-                  (va & (granule - 1));
-        const PlatformConfig &p = e._mem.platform();
-        unsigned dev;
-        if (p.inHostDram(pa))
-            pr.holder = -1;
-        else if (p.inBarDram(pa, dev))
-            pr.holder = static_cast<int>(dev);
-        else
-            return pr; // control window / unmapped: no residency.
+        auto tr = e._pageTables.translate(cr3, va);
+        if (!tr)
+            return pr; // unmapped or non-canonical: no vote.
+        pr.holder = e._mem.platform().holderOf(tr->pa);
+        if (pr.holder == -2)
+            return pr; // control window: no residency.
         pr.mapped = true;
         std::uint64_t key =
-            e._mem.canonicalPageKey(Requester::debug, pa);
+            e._mem.canonicalPageKey(Requester::debug, tr->pa);
         const std::vector<std::uint64_t> *row = e._residency->counts(key);
         if (!row)
             return pr;
@@ -180,7 +172,7 @@ MigrationEngine::MigrationEngine(EventQueue &events, MemSystem &mem,
 
 void
 MigrationEngine::addNxpDevice(Core &core, NxpPlatform &platform,
-                              DmaEngine &dma, RegionHeap &stack_heap,
+                              DmaEngine &dma, RangeAllocator &stack_heap,
                               Addr host_staging_pa, Addr host_inbox_pa,
                               unsigned irq_vector, unsigned ring_slots)
 {
@@ -720,16 +712,24 @@ MigrationEngine::rejectToTwin(TaskExec &x, unsigned device, VAddr va)
 }
 
 void
-MigrationEngine::registerDeviceTwin(Addr cr3, VAddr canonical,
-                                    unsigned device, VAddr twin_va)
+MigrationEngine::registerTwin(Addr cr3, VAddr canonical, unsigned where,
+                              VAddr va)
 {
-    auto &family = _deviceTwins[{cr3, canonical}];
-    if (family.size() < _nxp.size())
-        family.resize(_nxp.size(), 0);
-    if (device < family.size())
-        family[device] = twin_va;
-    if (twin_va != canonical)
-        _twinCanonical[{cr3, twin_va}] = canonical;
+    auto [it, fresh] =
+        _familyOf.try_emplace({cr3, canonical}, _families.size());
+    if (fresh) {
+        _families.emplace_back();
+        _families.back().canonical = canonical;
+        _families.back().text.deviceVa.assign(_nxp.size(), 0);
+    }
+    TwinFamily &f = _families[it->second];
+    if (where == hostSide) {
+        f.text.hostVa = va;
+        return;
+    }
+    if (where < f.text.deviceVa.size())
+        f.text.deviceVa[where] = va;
+    _familyOf[{cr3, va}] = it->second;
 }
 
 Tick
@@ -768,8 +768,8 @@ MigrationEngine::decidePlacement(TaskExec &x, VAddr target, unsigned home,
     Placed p;
     p.device = home;
     p.va = target;
-    auto c_it = _twinCanonical.find({task.cr3, target});
-    p.canonical = c_it == _twinCanonical.end() ? target : c_it->second;
+    const TwinFamily *fam = family(task.cr3, target);
+    p.canonical = fam ? fam->canonical : target;
 
     // A submit-time placement hint is consumed by the call's first
     // dispatch decision, before (and instead of) the policy.
@@ -780,15 +780,11 @@ MigrationEngine::decidePlacement(TaskExec &x, VAddr target, unsigned home,
         !(caller_device != hostSide &&
           static_cast<unsigned>(hint) == caller_device)) {
         VAddr hinted_va = 0;
-        if (static_cast<unsigned>(hint) == home) {
+        if (static_cast<unsigned>(hint) == home)
             hinted_va = target;
-        } else {
-            auto h_it = _deviceTwins.find({task.cr3, p.canonical});
-            if (h_it != _deviceTwins.end() &&
-                static_cast<unsigned>(hint) < h_it->second.size()) {
-                hinted_va = h_it->second[hint];
-            }
-        }
+        else if (fam && static_cast<unsigned>(hint) <
+                            fam->text.deviceVa.size())
+            hinted_va = fam->text.deviceVa[hint];
         if (hinted_va) {
             protoStat("placement.hinted", static_cast<unsigned>(hint));
             p.device = static_cast<unsigned>(hint);
@@ -818,23 +814,20 @@ MigrationEngine::decidePlacement(TaskExec &x, VAddr target, unsigned home,
     for (unsigned i = 0; i < PlacementQuery::maxArgs; ++i)
         q.args[i] = argsrc.arg(i);
 
+    // The family's entry for a device wins over the faulting target.
     PlacementCandidates &c = _cands;
-    c.deviceVa.assign(_nxp.size(), 0);
-    if (home < c.deviceVa.size())
-        c.deviceVa[home] = target;
-    auto t_it = _deviceTwins.find({task.cr3, p.canonical});
-    if (t_it != _deviceTwins.end()) {
-        for (unsigned d = 0;
-             d < c.deviceVa.size() && d < t_it->second.size(); ++d) {
-            if (t_it->second[d])
-                c.deviceVa[d] = t_it->second[d];
-        }
+    if (fam) {
+        c = fam->text;
+    } else {
+        c.deviceVa.assign(_nxp.size(), 0);
+        c.hostVa = 0;
     }
+    if (home < c.deviceVa.size() && !c.deviceVa[home])
+        c.deviceVa[home] = target;
     // A device cannot call its own core's text — the fault already
     // proved the target is foreign.
     if (q.fromDevice && caller_device < c.deviceVa.size())
         c.deviceVa[caller_device] = 0;
-    c.hostVa = fallbackVa(task.cr3, p.canonical);
 
     EnginePlacementView view(*this);
     PlacementDecision d = _policy->place(q, c, view);

@@ -49,7 +49,6 @@
 
 #include "flick/call_future.hh"
 #include "flick/descriptor.hh"
-#include "flick/heap.hh"
 #include "flick/nxp_platform.hh"
 #include "flick/qos.hh"
 #include "flick/link.hh"
@@ -62,6 +61,7 @@
 #include "sim/logging.hh"
 #include "sim/timing_config.hh"
 #include "sim/trace.hh"
+#include "vm/range_allocator.hh"
 
 namespace flick
 {
@@ -144,7 +144,7 @@ class MigrationEngine
      * @param ring_slots Slots per direction (in-flight descriptor bound).
      */
     void addNxpDevice(Core &core, NxpPlatform &platform, DmaEngine &dma,
-                      RegionHeap &stack_heap, Addr host_staging_pa,
+                      RangeAllocator &stack_heap, Addr host_staging_pa,
                       Addr host_inbox_pa, unsigned irq_vector,
                       unsigned ring_slots);
 
@@ -203,26 +203,20 @@ class MigrationEngine
 
     // --- Device health, deadlines and failover -------------------------
 
-    /**
-     * Register @p host_va as the host-ISA twin of @p va in address
-     * space @p cr3 (the multi-ISA binary's Section 3.3 property: the
-     * same function exists as text for every ISA). The engine
-     * re-dispatches failed calls to the twin when host fallback is on.
-     */
-    void
-    registerHostFallback(Addr cr3, VAddr va, VAddr host_va)
-    {
-        _fallback[{cr3, va}] = host_va;
-    }
+    /** "Device" id of the host side in a call frame, and the host core
+     *  in the continuation guard. */
+    static constexpr unsigned hostSide = ~0u;
 
     /**
-     * Register @p twin_va as @p canonical's text for @p device (the
-     * "__dev<k>" twins load() discovers, plus the home symbol itself).
-     * A placement policy may re-point a faulted call at any registered
+     * Register @p va as the text for @p where (a device, or hostSide)
+     * of the function whose home symbol is @p canonical in address
+     * space @p cr3 — the multi-ISA binary's Section 3.3 property: the
+     * same function exists as text for every ISA. The engine
+     * re-dispatches failed calls to the host twin when host fallback is
+     * on; a placement policy may re-point a faulted call at any
      * device's copy.
      */
-    void registerDeviceTwin(Addr cr3, VAddr canonical, unsigned device,
-                            VAddr twin_va);
+    void registerTwin(Addr cr3, VAddr canonical, unsigned where, VAddr va);
 
     /**
      * Analytic Host-NxP-Host protocol overhead (fault service through
@@ -260,10 +254,6 @@ class MigrationEngine
   private:
     friend struct EnginePlacementView;
     friend class QosFrontDoor;
-
-    /** "Device" id of the host side in a call frame, and the host core
-     *  in the continuation guard. */
-    static constexpr unsigned hostSide = ~0u;
 
     /**
      * One level of a thread's cross-ISA nesting: who is running the
@@ -325,7 +315,7 @@ class MigrationEngine
         Core *core;
         NxpPlatform *platform;
         DmaEngine *dma;
-        RegionHeap *stackHeap;
+        RangeAllocator *stackHeap;
         unsigned irqVector;
         DescriptorLink h2d; //!< Host staging ring -> device inbox ring.
         DescriptorLink d2h; //!< Device outbox ring -> host inbox ring.
@@ -661,12 +651,27 @@ class MigrationEngine
     /** Convert the top frame to a host frame and queue the re-dispatch. */
     void scheduleFallback(TaskExec &x);
 
+    /** One function's text for every ISA (Section 3.3). */
+    struct TwinFamily
+    {
+        VAddr canonical = 0; //!< The home symbol's VA.
+        PlacementCandidates text;
+    };
+
+    /** The family (cr3, va) belongs to, or nullptr if none registered. */
+    const TwinFamily *
+    family(Addr cr3, VAddr va) const
+    {
+        auto it = _familyOf.find({cr3, va});
+        return it == _familyOf.end() ? nullptr : &_families[it->second];
+    }
+
     /** Host twin of (cr3, va), or 0 if none registered. */
     VAddr
     fallbackVa(Addr cr3, VAddr va) const
     {
-        auto it = _fallback.find({cr3, va});
-        return it == _fallback.end() ? 0 : it->second;
+        const TwinFamily *f = family(cr3, va);
+        return f ? f->text.hostVa : 0;
     }
 
     /** The device a failing call's counters should be charged to, or
@@ -839,8 +844,6 @@ class MigrationEngine
     SpeculationManager *const _spec;
     std::uint64_t _nextExecId = 0;
     bool _heartbeatArmed = false;
-    //! (cr3, va) -> host-ISA twin va (Section 3.3 multi-ISA binaries).
-    std::map<std::pair<Addr, VAddr>, VAddr> _fallback;
     //! The candidates of the current placement decision; reused so a
     //! decision allocates nothing.
     PlacementCandidates _cands;
@@ -854,10 +857,10 @@ class MigrationEngine
         Tick t0 = 0;
     };
     std::map<std::pair<int, std::uint64_t>, SpecHarvest> _specHarvest;
-    //! (cr3, canonical va) -> per-device dispatch VA (0 = no copy).
-    std::map<std::pair<Addr, VAddr>, std::vector<VAddr>> _deviceTwins;
-    //! (cr3, twin va) -> canonical va, the reverse of _deviceTwins.
-    std::map<std::pair<Addr, VAddr>, VAddr> _twinCanonical;
+    //! Function families, indexed by _familyOf.
+    std::vector<TwinFamily> _families;
+    //! (cr3, canonical or device-member va) -> its family's index.
+    std::map<std::pair<Addr, VAddr>, std::size_t> _familyOf;
     StatGroup _stats;
     SplitCounters _protoStats{_stats, "%s_dev%u"};
     // Per-call and per-crossing counters, interned.

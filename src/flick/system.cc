@@ -1,6 +1,7 @@
 #include "flick/system.hh"
 
 #include <ostream>
+#include <string_view>
 
 #include "isa/hx64/disasm.hh"
 #include "isa/rv64/disasm.hh"
@@ -32,7 +33,7 @@ CoreParams
 nxpCoreParams(const TimingConfig &t, unsigned device, bool decode_cache)
 {
     CoreParams p;
-    p.name = device == 0 ? "nxp" : "nxp" + std::to_string(device + 1);
+    p.name = nxpDeviceName(device);
     p.requester = nxpCoreRequester(device);
     p.freqHz = t.nxpFreqHz;
     p.itlbEntries = t.nxpItlbEntries;
@@ -47,6 +48,30 @@ nxpCoreParams(const TimingConfig &t, unsigned device, bool decode_cache)
     return p;
 }
 
+/**
+ * The debug port's page walk: split [va, va+len) of address space @p cr3
+ * at page boundaries and hand each piece's physical address, offset
+ * into the range and length to @p copy. Untimed, like every debug
+ * access. Stops at the first unmapped page; @return the bytes walked.
+ */
+template <typename Copy>
+std::uint64_t
+walkPages(const PageTableManager &ptm, Addr cr3, VAddr va, std::uint64_t len,
+          Copy copy)
+{
+    std::uint64_t done = 0;
+    while (done < len) {
+        auto tr = ptm.translate(cr3, va + done);
+        if (!tr)
+            break;
+        std::uint64_t take =
+            std::min(len - done, 4096 - ((va + done) & 4095));
+        copy(tr->pa, done, take);
+        done += take;
+    }
+    return done;
+}
+
 } // namespace
 
 FlickSystem::NxpDevice::NxpDevice(FlickSystem &sys, unsigned device)
@@ -54,13 +79,12 @@ FlickSystem::NxpDevice::NxpDevice(FlickSystem &sys, unsigned device)
            sys._mem),
       ctrl(sys._mem, device),
       dma(sys._events, sys._mem, &sys._irq, device),
-      windowHeap(device == 0 ? "nxp_window"
-                             : "nxp" + std::to_string(device + 1) +
-                                   "_window",
+      windowHeap(nxpDeviceName(device) + "_window",
                  layout::nxpWindowBaseFor(device) +
                      NxpPlatform::reservedLocalBytes,
                  sys._config.platform.deviceDramBytes(device) -
-                     NxpPlatform::reservedLocalBytes)
+                     NxpPlatform::reservedLocalBytes,
+                 16)
 {
     ctrl.setNxpMmu(&core.mmu());
     // Every fabric component consults the one chaos controller, so a
@@ -78,12 +102,13 @@ FlickSystem::FlickSystem(SystemConfig config)
       _chaos(_config.chaos),
       _irq(_events, _config.timing),
       _hostAlloc("host_dram", 0x100000,
-                 _config.platform.hostDramBytes - 0x100000),
+                 _config.platform.hostDramBytes - 0x100000, 4096),
       _nxpAlloc("nxp_dram",
                 _config.platform.nxpDramLocalBase +
                     NxpPlatform::reservedLocalBytes,
                 _config.platform.nxpDramBytes -
-                    NxpPlatform::reservedLocalBytes),
+                    NxpPlatform::reservedLocalBytes,
+                4096),
       _ptm(_mem, _hostAlloc),
       _hostCore(hostCoreParams(_config.timing, _config.decodeCache), _mem),
       _loader(_mem, _ptm, _hostAlloc, _nxpAlloc)
@@ -205,38 +230,23 @@ FlickSystem::load(const Program &program)
         _engine->qos().registerTenant(proc->image.cr3);
     proc->task->hostStackTop = proc->image.hostStackTop;
     proc->task->hostStackBytes = _config.loadOptions.hostStackBytes;
-    proc->hostHeap = std::make_unique<RegionHeap>(
-        "host_heap", proc->image.hostHeapBase, proc->image.hostHeapBytes);
+    proc->hostHeap = std::make_unique<RangeAllocator>(
+        "host_heap", proc->image.hostHeapBase, proc->image.hostHeapBytes,
+        16);
     // Spawned threads carve their stacks below the main stack, separated
     // by unmapped guard gaps.
     proc->nextThreadStackTop = proc->image.hostStackTop -
                                _config.loadOptions.hostStackBytes -
                                threadStackGuard;
     // Multi-ISA binaries carry every function as text for every ISA
-    // (Section 3.3): a symbol "f__host" is the host-ISA twin of "f" and
-    // becomes f's failover target when host fallback is enabled — and,
-    // since PR 5, the target a placement policy steers to when its cost
-    // model says crossing does not pay (DESIGN.md §11).
-    static const std::string twin_suffix = "__host";
-    for (const auto &[name, va] : proc->image.symbols) {
-        if (name.size() <= twin_suffix.size() ||
-            name.compare(name.size() - twin_suffix.size(),
-                         twin_suffix.size(), twin_suffix) != 0)
-            continue;
-        auto orig = proc->image.symbols.find(
-            name.substr(0, name.size() - twin_suffix.size()));
-        if (orig != proc->image.symbols.end())
-            _engine->registerHostFallback(proc->image.cr3, orig->second,
-                                          va);
-    }
-
-    // Device twins: "f__dev<k>" is f assembled for NxP k. The linked
-    // image's executable sections say which device each symbol's text
-    // really belongs to (the loader tags its PTEs accordingly); the
-    // registry built here is what lets a placement policy re-point a
-    // faulted call at any device's copy of the function. Twins inherit
-    // the original's "__host" fallback so failover works regardless of
-    // which copy a call was steered to.
+    // (Section 3.3): "f__host" is f's host-ISA twin — the failover
+    // target, and the target a placement policy steers to when its cost
+    // model says crossing does not pay (DESIGN.md §11) — and "f__dev<k>"
+    // is f assembled for NxP k. The linked image's executable sections
+    // say which device each symbol's text really belongs to (the loader
+    // tags its PTEs accordingly). One pass registers each family, keyed
+    // by every device member, so failover and placement work whichever
+    // copy a call was steered to.
     auto execDevice = [&image](VAddr va) -> int {
         for (const auto &sec : image.sections) {
             if (!sec.executable || va < sec.base ||
@@ -247,34 +257,32 @@ FlickSystem::load(const Program &program)
         }
         return -1;
     };
-    static const std::string dev_infix = "__dev";
+    Addr cr3 = proc->image.cr3;
     for (const auto &[name, va] : proc->image.symbols) {
-        auto pos = name.rfind(dev_infix);
-        if (pos == std::string::npos || pos == 0 ||
-            pos + dev_infix.size() >= name.size())
-            continue;
-        bool digits = true;
-        for (auto i = pos + dev_infix.size(); i < name.size(); ++i)
-            digits = digits && name[i] >= '0' && name[i] <= '9';
-        if (!digits)
+        auto pos = name.rfind("__");
+        if (pos == std::string::npos || pos == 0)
             continue;
         auto orig = proc->image.symbols.find(name.substr(0, pos));
         if (orig == proc->image.symbols.end())
+            continue;
+        std::string_view suffix(name.c_str() + pos + 2);
+        if (suffix == "host") {
+            _engine->registerTwin(cr3, orig->second,
+                                  MigrationEngine::hostSide, va);
+            continue;
+        }
+        if (suffix.size() <= 3 || suffix.substr(0, 3) != "dev" ||
+            suffix.find_first_not_of("0123456789", 3) !=
+                std::string_view::npos)
             continue;
         int twin_dev = execDevice(va);
         int home_dev = execDevice(orig->second);
         if (twin_dev < 0 || home_dev < 0)
             continue; // not a pair of NxP text symbols
-        Addr cr3 = proc->image.cr3;
-        _engine->registerDeviceTwin(cr3, orig->second,
-                                    static_cast<unsigned>(home_dev),
-                                    orig->second);
-        _engine->registerDeviceTwin(cr3, orig->second,
-                                    static_cast<unsigned>(twin_dev), va);
-        auto host_twin =
-            proc->image.symbols.find(name.substr(0, pos) + twin_suffix);
-        if (host_twin != proc->image.symbols.end())
-            _engine->registerHostFallback(cr3, va, host_twin->second);
+        _engine->registerTwin(cr3, orig->second,
+                              static_cast<unsigned>(home_dev), orig->second);
+        _engine->registerTwin(cr3, orig->second,
+                              static_cast<unsigned>(twin_dev), va);
     }
     _processes.push_back(std::move(proc));
     return *_processes.back();
@@ -366,8 +374,9 @@ FlickSystem::migratableMalloc(Process &process, std::uint64_t bytes,
         if (process.image.hostHeapBase + process.image.hostHeapBytes >
             layout::migratableBase)
             fatal("host heap overlaps the migratable region");
-        process.migratableHeap = std::make_unique<RegionHeap>(
-            "migratable", layout::migratableBase, layout::migratableBytes);
+        process.migratableHeap = std::make_unique<RangeAllocator>(
+            "migratable", layout::migratableBase, layout::migratableBytes,
+            16);
     }
     // Whole pages: the PageMigrator remaps at 4K granularity, so a block
     // never shares a frame with an unrelated allocation.
@@ -392,20 +401,16 @@ FlickSystem::migratableMalloc(Process &process, std::uint64_t bytes,
     return va;
 }
 
-Addr
-FlickSystem::translateDebug(const Process &process, VAddr va) const
-{
-    auto tr = _ptm.translate(process.image.cr3, va);
-    if (!tr)
-        fatal("debug access to unmapped VA %#llx", (unsigned long long)va);
-    return tr->pa;
-}
-
 std::uint64_t
 FlickSystem::readVa(const Process &process, VAddr va, unsigned len)
 {
+    std::uint8_t buf[8] = {};
+    if (len > sizeof buf)
+        panic("readVa of %u bytes", len);
+    readBlock(process, va, buf, len);
     std::uint64_t v = 0;
-    _mem.readInt(Requester::debug, translateDebug(process, va), len, v);
+    for (unsigned i = 0; i < len; ++i)
+        v |= std::uint64_t(buf[i]) << (8 * i);
     return v;
 }
 
@@ -413,8 +418,12 @@ void
 FlickSystem::writeVa(Process &process, VAddr va, std::uint64_t value,
                      unsigned len)
 {
-    _mem.writeInt(Requester::debug, translateDebug(process, va), value,
-                  len);
+    std::uint8_t buf[8];
+    if (len > sizeof buf)
+        panic("writeVa of %u bytes", len);
+    for (unsigned i = 0; i < len; ++i)
+        buf[i] = static_cast<std::uint8_t>(value >> (8 * i));
+    writeBlock(process, va, buf, len);
 }
 
 void
@@ -422,14 +431,14 @@ FlickSystem::writeBlock(Process &process, VAddr va, const void *data,
                         std::uint64_t len)
 {
     const auto *p = static_cast<const std::uint8_t *>(data);
-    while (len > 0) {
-        std::uint64_t in_page = 4096 - (va & 4095);
-        std::uint64_t take = std::min(len, in_page);
-        _mem.write(Requester::debug, translateDebug(process, va), p, take);
-        va += take;
-        p += take;
-        len -= take;
-    }
+    std::uint64_t done = walkPages(
+        _ptm, process.image.cr3, va, len,
+        [&](Addr pa, std::uint64_t off, std::uint64_t n) {
+            _mem.write(Requester::debug, pa, p + off, n);
+        });
+    if (done < len)
+        fatal("debug access to unmapped VA %#llx",
+              (unsigned long long)(va + done));
 }
 
 void
@@ -437,14 +446,14 @@ FlickSystem::readBlock(const Process &process, VAddr va, void *data,
                        std::uint64_t len)
 {
     auto *p = static_cast<std::uint8_t *>(data);
-    while (len > 0) {
-        std::uint64_t in_page = 4096 - (va & 4095);
-        std::uint64_t take = std::min(len, in_page);
-        _mem.read(Requester::debug, translateDebug(process, va), p, take);
-        va += take;
-        p += take;
-        len -= take;
-    }
+    std::uint64_t done = walkPages(
+        _ptm, process.image.cr3, va, len,
+        [&](Addr pa, std::uint64_t off, std::uint64_t n) {
+            _mem.read(Requester::debug, pa, p + off, n);
+        });
+    if (done < len)
+        fatal("debug access to unmapped VA %#llx",
+              (unsigned long long)(va + done));
 }
 
 void
@@ -461,18 +470,11 @@ FlickSystem::enableInstructionTrace(std::ostream *os)
     // tracing does not perturb TLB or cache statistics.
     auto fetch = [this](Addr cr3, VAddr pc, std::uint8_t *buf,
                         unsigned len) -> unsigned {
-        unsigned got = 0;
-        while (got < len) {
-            auto tr = _ptm.translate(cr3, pc + got);
-            if (!tr)
-                break;
-            unsigned in_page = static_cast<unsigned>(
-                4096 - ((pc + got) & 4095));
-            unsigned take = std::min(len - got, in_page);
-            _mem.read(Requester::debug, tr->pa, buf + got, take);
-            got += take;
-        }
-        return got;
+        return static_cast<unsigned>(walkPages(
+            _ptm, cr3, pc, len,
+            [&](Addr pa, std::uint64_t off, std::uint64_t n) {
+                _mem.read(Requester::debug, pa, buf + off, n);
+            }));
     };
 
     _hostCore.setTraceHook([this, os, fetch](VAddr pc) {

@@ -35,7 +35,6 @@
 #include <ostream>
 #include <vector>
 
-#include "flick/heap.hh"
 #include "flick/migrator.hh"
 #include "flick/native.hh"
 #include "flick/nxp_platform.hh"
@@ -54,7 +53,7 @@
 #include "sim/timing_config.hh"
 #include "spec/speculation.hh"
 #include "vm/page_table.hh"
-#include "vm/phys_allocator.hh"
+#include "vm/range_allocator.hh"
 
 namespace flick
 {
@@ -67,7 +66,7 @@ namespace flick
  *
  *     FlickSystem sys(SystemConfig{}
  *                         .withDevices(2)
- *                         .withNxpStackBytes(128 * 1024));
+ *                         .withRingSlots(16));
  */
 struct SystemConfig
 {
@@ -276,13 +275,6 @@ struct SystemConfig
     }
 
     SystemConfig &
-    withNxpStackBytes(std::uint64_t bytes)
-    {
-        nxpStackBytes = bytes;
-        return *this;
-    }
-
-    SystemConfig &
     withRingSlots(unsigned slots)
     {
         ringSlots = slots;
@@ -387,10 +379,10 @@ struct Process
 {
     LoadedProgram image;
     Task *task = nullptr;
-    std::unique_ptr<RegionHeap> hostHeap;
+    std::unique_ptr<RangeAllocator> hostHeap;
     /** 4K-mapped migration-eligible region; lazily created by
      *  FlickSystem::migratableMalloc (DESIGN.md §15). */
-    std::unique_ptr<RegionHeap> migratableHeap;
+    std::unique_ptr<RangeAllocator> migratableHeap;
     /** Where the next spawned thread's host stack will be carved. */
     VAddr nextThreadStackTop = 0;
 };
@@ -558,7 +550,11 @@ class FlickSystem
 
     // --- Untimed harness access to process memory ----------------------
 
-    /** Read @p len (1..8) bytes at @p va in @p process (untimed). */
+    /**
+     * Read @p len (1..8) bytes at @p va in @p process (untimed), little
+     * endian. Like the block copies, an access that spans a page
+     * boundary is split at it.
+     */
     std::uint64_t readVa(const Process &process, VAddr va,
                          unsigned len = 8);
 
@@ -652,7 +648,7 @@ class FlickSystem
             return sys->nxp(device).dma;
         }
         IrqController &irq() const { return sys->_irq; }
-        RegionHeap &
+        RangeAllocator &
         nxpHeap(unsigned device = 0) const
         {
             return sys->nxp(device).windowHeap;
@@ -703,13 +699,11 @@ class FlickSystem
         Rv64Core core;
         NxpPlatform ctrl;
         DmaEngine dma;
-        RegionHeap windowHeap;
+        RangeAllocator windowHeap;
     };
 
     /** Device @p device; dies if the platform has no such device. */
     NxpDevice &nxp(unsigned device);
-
-    Addr translateDebug(const Process &process, VAddr va) const;
 
     /** Gap left unmapped between thread stacks (overflow tripwire). */
     static constexpr std::uint64_t threadStackGuard = 0x10000;
@@ -720,8 +714,8 @@ class FlickSystem
     ChaosController _chaos;
     Tracer _tracer;
     IrqController _irq;
-    PhysAllocator _hostAlloc;
-    PhysAllocator _nxpAlloc;
+    RangeAllocator _hostAlloc;
+    RangeAllocator _nxpAlloc;
     PageTableManager _ptm;
     Hx64Core _hostCore;
     Kernel _kernel;

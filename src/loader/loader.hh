@@ -21,7 +21,7 @@
 #include "loader/linker.hh"
 #include "mem/mem_system.hh"
 #include "vm/page_table.hh"
-#include "vm/phys_allocator.hh"
+#include "vm/range_allocator.hh"
 
 namespace flick
 {
@@ -111,7 +111,7 @@ class ProgramLoader
      *        hands out NxP-local physical addresses.
      */
     ProgramLoader(MemSystem &mem, PageTableManager &ptm,
-                  PhysAllocator &host_alloc, PhysAllocator &nxp_alloc)
+                  RangeAllocator &host_alloc, RangeAllocator &nxp_alloc)
         : _mem(mem), _ptm(ptm), _hostAlloc(host_alloc), _nxpAlloc(nxp_alloc)
     {}
 
@@ -126,8 +126,8 @@ class ProgramLoader
 
     MemSystem &_mem;
     PageTableManager &_ptm;
-    PhysAllocator &_hostAlloc;
-    PhysAllocator &_nxpAlloc;
+    RangeAllocator &_hostAlloc;
+    RangeAllocator &_nxpAlloc;
 };
 
 } // namespace flick

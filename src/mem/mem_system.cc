@@ -12,16 +12,6 @@ namespace
 {
 
 /**
- * Stats name of an NxP device: device 0 is "nxp" and device k is
- * "nxp<k+1>", matching the historical two-device keys ("nxp", "nxp2").
- */
-std::string
-devStatName(unsigned device)
-{
-    return device == 0 ? "nxp" : "nxp" + std::to_string(device + 1);
-}
-
-/**
  * Route stats ids: the two device-independent host-DRAM routes, then
  * perDeviceRoutes per NxP device, then one peer route per ordered
  * device pair.
@@ -202,10 +192,10 @@ MemSystem::routeStatKey(unsigned id) const
     unsigned i = id - perDeviceBase;
     if (i >= perDeviceRoutes * n) {
         i -= perDeviceRoutes * n;
-        return devStatName(i / n) + "_peer_to_" + devStatName(i % n) +
+        return nxpDeviceName(i / n) + "_peer_to_" + nxpDeviceName(i % n) +
                "_dram";
     }
-    std::string dev = devStatName(i / perDeviceRoutes);
+    std::string dev = nxpDeviceName(i / perDeviceRoutes);
     switch (i % perDeviceRoutes) {
       case hostToDevDram: return "host_to_" + dev + "_dram";
       case hostToDevMmio: return "host_to_" + dev + "_mmio";

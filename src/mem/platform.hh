@@ -14,6 +14,7 @@
 #define FLICK_MEM_PLATFORM_HH
 
 #include <cstdint>
+#include <string>
 
 #include "mem/sparse_memory.hh"
 
@@ -127,6 +128,20 @@ struct PlatformConfig
         return pa < hostDramBytes;
     }
 
+    /**
+     * Which DRAM backs host-side physical address @p pa: -1 = host
+     * DRAM, k >= 0 = device k's BAR window, -2 = neither (a control
+     * window or a hole).
+     */
+    int
+    holderOf(Addr pa) const
+    {
+        if (inHostDram(pa))
+            return -1;
+        unsigned dev;
+        return inBarDram(pa, dev) ? static_cast<int>(dev) : -2;
+    }
+
     /** True if @p pa lies in the NxP-side local DRAM window. */
     bool
     inNxpLocalDram(Addr pa) const
@@ -141,6 +156,17 @@ struct PlatformConfig
         return pa >= nxpCtrlLocalBase && pa < nxpCtrlLocalBase + nxpCtrlBytes;
     }
 };
+
+/**
+ * Display name of NxP device @p device in stats keys and diagnostics:
+ * device 0 is "nxp" and device k is "nxp<k+1>", matching the historical
+ * two-device keys ("nxp", "nxp2").
+ */
+inline std::string
+nxpDeviceName(unsigned device)
+{
+    return device == 0 ? "nxp" : "nxp" + std::to_string(device + 1);
+}
 
 } // namespace flick
 

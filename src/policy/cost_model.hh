@@ -5,10 +5,11 @@
  * One integer-EWMA latency model per (address space, function) pair,
  * used from two sides of the engine:
  *
- *   - ProfileGuidedPlacement smooths its per-function device/host round
- *     trips through CallCostModel::blend() — the same update rule the
- *     admission layer uses, so a latency both subsystems observe moves
- *     both estimates identically.
+ *   - The placement policies that weigh crossing against the host twin
+ *     (TwoSidedCostPolicy) keep one model per side — device round trips
+ *     and host-twin runs — with the same update rule the admission
+ *     layer uses, so a latency both subsystems observe moves both
+ *     estimates identically.
  *   - The QoS admission test (DESIGN.md §14) keeps a CallCostModel of
  *     end-to-end entry latencies: when the placement policy has no
  *     learned estimate for a callee, admission falls back to this model
@@ -27,6 +28,7 @@
 #include <utility>
 
 #include "mem/sparse_memory.hh"
+#include "policy/policy.hh"
 #include "sim/ticks.hh"
 #include "vm/pte.hh"
 
@@ -101,6 +103,55 @@ class CallCostModel
     unsigned _shift;
     //! std::map for deterministic iteration in tests and tools.
     std::map<std::pair<Addr, VAddr>, Entry> _model;
+};
+
+/**
+ * Base of the placement policies that learn both sides of the choice
+ * (ProfileGuidedPlacement, ResidencyAwarePlacement): every completed
+ * call feeds its end-to-end latency into its function's device or host
+ * model.
+ */
+class TwoSidedCostPolicy : public PlacementPolicy
+{
+  public:
+    explicit TwoSidedCostPolicy(unsigned ewma_shift)
+        : _deviceModel(ewma_shift), _hostModel(ewma_shift)
+    {
+    }
+
+    bool wantsFeedback() const override { return true; }
+
+    void
+    recordDeviceCall(Addr cr3, VAddr canonical, unsigned,
+                     Tick latency) override
+    {
+        _deviceModel.record(cr3, canonical, latency);
+    }
+
+    void
+    recordHostCall(Addr cr3, VAddr canonical, Tick latency) override
+    {
+        _hostModel.record(cr3, canonical, latency);
+    }
+
+    /**
+     * Admission feedback (DESIGN.md §14): the cheaper of the measured
+     * sides — the cost place() would actually choose — so the QoS
+     * shedding predicate and placement share one model.
+     */
+    Tick
+    estimateCall(Addr cr3, VAddr canonical) const override
+    {
+        Tick dev = _deviceModel.estimate(cr3, canonical);
+        Tick host = _hostModel.estimate(cr3, canonical);
+        if (dev && host)
+            return dev < host ? dev : host;
+        return dev ? dev : host;
+    }
+
+  protected:
+    CallCostModel _deviceModel; //!< Crossing round trips, measured.
+    CallCostModel _hostModel;   //!< Host-twin runs incl. fault, measured.
 };
 
 } // namespace flick

@@ -3,6 +3,17 @@
 namespace flick
 {
 
+bool
+eligibleDevice(unsigned d, const PlacementQuery &query,
+               const PlacementCandidates &cands, const PlacementView &view)
+{
+    if (d >= cands.deviceVa.size() || !cands.deviceVa[d])
+        return false;
+    if (query.fromDevice && d == query.callerDevice)
+        return false;
+    return !view.load(d).quarantined;
+}
+
 int
 pickLeastLoaded(const PlacementQuery &query,
                 const PlacementCandidates &cands,
@@ -11,14 +22,10 @@ pickLeastLoaded(const PlacementQuery &query,
     int best = -1;
     unsigned best_depth = 0;
     unsigned devices = view.deviceCount();
-    for (unsigned d = 0; d < devices && d < cands.deviceVa.size(); ++d) {
-        if (!cands.deviceVa[d])
-            continue;
-        if (query.fromDevice && d == query.callerDevice)
+    for (unsigned d = 0; d < devices; ++d) {
+        if (!eligibleDevice(d, query, cands, view))
             continue;
         DeviceLoad l = view.load(d);
-        if (l.quarantined)
-            continue;
         if (best >= 0) {
             if (l.depth > best_depth)
                 continue;

@@ -12,13 +12,20 @@ namespace flick
 {
 
 /**
+ * True if the engine would accept device @p d for @p query: it has a
+ * copy of the text, is not quarantined, and is not the call's own
+ * originating device.
+ */
+bool eligibleDevice(unsigned d, const PlacementQuery &query,
+                    const PlacementCandidates &cands,
+                    const PlacementView &view);
+
+/**
  * Pick the least-loaded eligible device for @p query, or -1 when no
- * candidate device is eligible (all quarantined or without text).
- * Eligibility: the device has a copy of the text, is not quarantined,
- * and is not the call's own originating device. Ties break toward the
- * home device, then the lowest device id — a total order, so the choice
- * is deterministic. Shared by LeastLoadedPlacement and
- * ProfileGuidedPlacement.
+ * candidate device is eligible (all quarantined or without text). Ties
+ * break toward the home device, then the lowest device id — a total
+ * order, so the choice is deterministic. Shared by all three shipped
+ * policies.
  */
 int pickLeastLoaded(const PlacementQuery &query,
                     const PlacementCandidates &cands,

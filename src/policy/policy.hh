@@ -112,8 +112,8 @@ struct PlacementQuery
 
 /**
  * Where one virtual page's data lives and who has been touching it
- * (PlacementView::pageResidency). Weightless when residency tracking is
- * off: mapped pages still report their holder, counters stay zero.
+ * (PlacementView::pageResidency). With residency tracking off the
+ * engine reports every page unmapped.
  */
 struct PageResidency
 {

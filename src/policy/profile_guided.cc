@@ -29,17 +29,14 @@ ProfileGuidedPlacement::place(const PlacementQuery &query,
     // From here on both sides are genuine candidates, so an unmodeled
     // function is a coin flip: report zero confidence and let the
     // speculation layer race the sides if it is enabled.
-    auto it = _model.find({query.cr3, query.canonical});
-    if (it == _model.end())
-        return {false, device, 0};
-    FnProfile &m = it->second;
-    if (m.deviceSamples < _cfg.minDeviceSamples)
+    auto m = profile(query.cr3, query.canonical);
+    if (!m || m->deviceSamples < _cfg.minDeviceSamples)
         return {false, device, 0};
 
-    Tick device_cost = m.deviceEwma;
+    Tick device_cost = m->deviceEwma;
     Tick host_cost;
-    if (m.hostSamples > 0) {
-        host_cost = m.hostEwma;
+    if (m->hostSamples > 0) {
+        host_cost = m->hostEwma;
     } else {
         // No host measurement yet: estimate from the device round trip.
         // Subtracting the analytic crossing overhead leaves the callee's
@@ -71,60 +68,23 @@ ProfileGuidedPlacement::place(const PlacementQuery &query,
     // the device-side EWMA stays fresh: a reprobe is deliberately
     // resampling the unchosen side, i.e. the model wants fresh data —
     // zero confidence invites speculation to hide the probe's cost.
-    ++m.steeredDecisions;
-    if (_cfg.reprobeInterval &&
-        m.steeredDecisions % _cfg.reprobeInterval == 0)
+    std::uint64_t steered = ++_steered[{query.cr3, query.canonical}];
+    if (_cfg.reprobeInterval && steered % _cfg.reprobeInterval == 0)
         return {false, device, 0};
     return {true, device, confidence};
 }
 
-void
-ProfileGuidedPlacement::recordDeviceCall(Addr cr3, VAddr canonical,
-                                         unsigned device, Tick latency)
-{
-    (void)device;
-    FnProfile &m = _model[{cr3, canonical}];
-    m.deviceEwma = m.deviceSamples == 0
-                       ? latency
-                       : CallCostModel::blend(m.deviceEwma, latency,
-                                              _cfg.ewmaShift);
-    ++m.deviceSamples;
-}
-
-void
-ProfileGuidedPlacement::recordHostCall(Addr cr3, VAddr canonical,
-                                       Tick latency)
-{
-    FnProfile &m = _model[{cr3, canonical}];
-    m.hostEwma = m.hostSamples == 0
-                     ? latency
-                     : CallCostModel::blend(m.hostEwma, latency,
-                                            _cfg.ewmaShift);
-    ++m.hostSamples;
-}
-
-Tick
-ProfileGuidedPlacement::estimateCall(Addr cr3, VAddr canonical) const
-{
-    // The admission layer asks what this call is expected to cost; the
-    // honest answer is the cheaper of the two measured paths, because
-    // place() will pick whichever side the model favors.
-    auto it = _model.find({cr3, canonical});
-    if (it == _model.end())
-        return 0;
-    const FnProfile &m = it->second;
-    Tick device = m.deviceSamples ? m.deviceEwma : 0;
-    Tick host = m.hostSamples ? m.hostEwma : 0;
-    if (device && host)
-        return device < host ? device : host;
-    return device ? device : host;
-}
-
-const ProfileGuidedPlacement::FnProfile *
+std::optional<ProfileGuidedPlacement::FnProfile>
 ProfileGuidedPlacement::profile(Addr cr3, VAddr canonical) const
 {
-    auto it = _model.find({cr3, canonical});
-    return it == _model.end() ? nullptr : &it->second;
+    FnProfile m;
+    m.deviceSamples = _deviceModel.samples(cr3, canonical);
+    m.hostSamples = _hostModel.samples(cr3, canonical);
+    if (m.deviceSamples == 0 && m.hostSamples == 0)
+        return std::nullopt;
+    m.deviceEwma = _deviceModel.estimate(cr3, canonical);
+    m.hostEwma = _hostModel.estimate(cr3, canonical);
+    return m;
 }
 
 } // namespace flick

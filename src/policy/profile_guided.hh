@@ -17,6 +17,7 @@
 #define FLICK_POLICY_PROFILE_GUIDED_HH
 
 #include <map>
+#include <optional>
 #include <utility>
 
 #include "policy/cost_model.hh"
@@ -25,11 +26,11 @@
 namespace flick
 {
 
-class ProfileGuidedPlacement final : public PlacementPolicy
+class ProfileGuidedPlacement final : public TwoSidedCostPolicy
 {
   public:
     explicit ProfileGuidedPlacement(const PlacementConfig &config)
-        : _cfg(config)
+        : TwoSidedCostPolicy(config.ewmaShift), _cfg(config)
     {
     }
 
@@ -40,8 +41,6 @@ class ProfileGuidedPlacement final : public PlacementPolicy
         Tick hostEwma = 0;   //!< Host-twin run incl. fault, measured.
         std::uint64_t deviceSamples = 0;
         std::uint64_t hostSamples = 0;
-        //! Host-steer decisions made since the last device re-probe.
-        std::uint64_t steeredDecisions = 0;
     };
 
     const char *name() const override { return "profile-guided"; }
@@ -50,30 +49,14 @@ class ProfileGuidedPlacement final : public PlacementPolicy
                             const PlacementCandidates &cands,
                             const PlacementView &view) override;
 
-    bool wantsFeedback() const override { return true; }
-
-    void recordDeviceCall(Addr cr3, VAddr canonical, unsigned device,
-                          Tick latency) override;
-    void recordHostCall(Addr cr3, VAddr canonical,
-                        Tick latency) override;
-
-    /**
-     * Admission feedback (DESIGN.md §14): the cheaper of the measured
-     * device/host EWMAs — the cost place() would actually choose — so
-     * the QoS shedding predicate and placement share one model.
-     */
-    Tick estimateCall(Addr cr3, VAddr canonical) const override;
-
-    /** The model for (cr3, canonical), or nullptr if never seen. */
-    const FnProfile *profile(Addr cr3, VAddr canonical) const;
-
-    /** Number of functions the model has state for. */
-    std::size_t modelSize() const { return _model.size(); }
+    /** The model for (cr3, canonical), or nullopt if never seen. */
+    std::optional<FnProfile> profile(Addr cr3, VAddr canonical) const;
 
   private:
     PlacementConfig _cfg;
-    //! Keyed (cr3, canonical VA); std::map for deterministic iteration.
-    std::map<std::pair<Addr, VAddr>, FnProfile> _model;
+    //! Host-steer decisions since the last device re-probe, keyed (cr3,
+    //! canonical VA).
+    std::map<std::pair<Addr, VAddr>, std::uint64_t> _steered;
 };
 
 } // namespace flick

@@ -5,23 +5,6 @@
 namespace flick
 {
 
-namespace
-{
-
-/** True if @p d is a device the engine would actually accept. */
-bool
-eligibleDevice(unsigned d, const PlacementQuery &query,
-               const PlacementCandidates &cands, const PlacementView &view)
-{
-    if (d >= cands.deviceVa.size() || !cands.deviceVa[d])
-        return false;
-    if (query.fromDevice && d == query.callerDevice)
-        return false;
-    return !view.load(d).quarantined;
-}
-
-} // namespace
-
 PageVotes
 tallyPageVotes(Addr cr3, std::span<const std::uint64_t> args,
                const PlacementView &view)
@@ -103,31 +86,6 @@ ResidencyAwarePlacement::place(const PlacementQuery &query,
     if (d < 0)
         return {false, query.home};
     return {false, static_cast<unsigned>(d)};
-}
-
-void
-ResidencyAwarePlacement::recordDeviceCall(Addr cr3, VAddr canonical,
-                                          unsigned device, Tick latency)
-{
-    (void)device;
-    _deviceModel.record(cr3, canonical, latency);
-}
-
-void
-ResidencyAwarePlacement::recordHostCall(Addr cr3, VAddr canonical,
-                                        Tick latency)
-{
-    _hostModel.record(cr3, canonical, latency);
-}
-
-Tick
-ResidencyAwarePlacement::estimateCall(Addr cr3, VAddr canonical) const
-{
-    Tick dev = _deviceModel.estimate(cr3, canonical);
-    Tick host = _hostModel.estimate(cr3, canonical);
-    if (dev && host)
-        return dev < host ? dev : host;
-    return dev ? dev : host;
 }
 
 } // namespace flick

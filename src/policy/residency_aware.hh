@@ -47,12 +47,11 @@ struct PageVotes
 PageVotes tallyPageVotes(Addr cr3, std::span<const std::uint64_t> args,
                          const PlacementView &view);
 
-class ResidencyAwarePlacement final : public PlacementPolicy
+class ResidencyAwarePlacement final : public TwoSidedCostPolicy
 {
   public:
     explicit ResidencyAwarePlacement(const PlacementConfig &config)
-        : _cfg(config), _deviceModel(config.ewmaShift),
-          _hostModel(config.ewmaShift)
+        : TwoSidedCostPolicy(config.ewmaShift), _cfg(config)
     {
     }
 
@@ -62,19 +61,8 @@ class ResidencyAwarePlacement final : public PlacementPolicy
                             const PlacementCandidates &cands,
                             const PlacementView &view) override;
 
-    bool wantsFeedback() const override { return true; }
-
-    void recordDeviceCall(Addr cr3, VAddr canonical, unsigned device,
-                          Tick latency) override;
-    void recordHostCall(Addr cr3, VAddr canonical, Tick latency) override;
-
-    /** The cheaper measured estimate, for QoS admission (DESIGN.md §14). */
-    Tick estimateCall(Addr cr3, VAddr canonical) const override;
-
   private:
     PlacementConfig _cfg;
-    CallCostModel _deviceModel; //!< Crossing round trips, measured.
-    CallCostModel _hostModel;   //!< Host-twin runs incl. fault, measured.
 };
 
 } // namespace flick

@@ -17,7 +17,7 @@
 #include <optional>
 
 #include "mem/mem_system.hh"
-#include "vm/phys_allocator.hh"
+#include "vm/range_allocator.hh"
 #include "vm/pte.hh"
 
 namespace flick
@@ -42,7 +42,7 @@ class PageTableManager
      * @param table_alloc Allocator providing frames for table pages; must
      *        allocate from host DRAM (walkers read tables there).
      */
-    PageTableManager(MemSystem &mem, PhysAllocator &table_alloc)
+    PageTableManager(MemSystem &mem, RangeAllocator &table_alloc)
         : _mem(mem), _alloc(table_alloc)
     {}
 
@@ -128,7 +128,7 @@ class PageTableManager
     static int leafLevel(PageSize size);
 
     MemSystem &_mem;
-    PhysAllocator &_alloc;
+    RangeAllocator &_alloc;
     std::uint64_t _tablePages = 0;
 };
 

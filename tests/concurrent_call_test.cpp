@@ -235,7 +235,7 @@ TEST_F(ConcurrentCallTest, TwoDevicesRunTrulyInParallel)
 TEST_F(ConcurrentCallTest, ExitThreadReturnsNxpStacksToTheHeap)
 {
     boot();
-    RegionHeap &heap = sys->debug().nxpHeap();
+    RangeAllocator &heap = sys->debug().nxpHeap();
     std::uint64_t baseline = heap.allocatedBytes();
 
     Task &t1 = sys->spawnThread(*proc);

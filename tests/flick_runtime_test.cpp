@@ -312,6 +312,19 @@ TEST_F(RuntimeTest, HeapAllocatorsUseDistinctRegions)
     EXPECT_EQ(dev, 0u);
 }
 
+TEST_F(RuntimeTest, DebugWordAccessSplitsAtPageBoundary)
+{
+    boot();
+    // Adjacent virtual pages on frames that are not adjacent: a host
+    // frame, then a frame in NxP DRAM.
+    VAddr a = sys->migratableMalloc(*proc, 4096, -1);
+    VAddr b = sys->migratableMalloc(*proc, 4096, 0);
+    ASSERT_EQ(b, a + 4096);
+    sys->writeVa(*proc, b - 4, 0x1122334455667788ull);
+    EXPECT_EQ(sys->readVa(*proc, b - 4), 0x1122334455667788ull);
+    EXPECT_EQ(sys->readVa(*proc, b, 4), 0x11223344u);
+}
+
 TEST_F(RuntimeTest, MultipleSequentialProcesses)
 {
     boot();

@@ -1,12 +1,14 @@
 /**
  * @file
- * Unit tests for the per-region heap allocators (Section III-D).
+ * Unit tests for the per-region allocators (Section III-D): the 16-byte
+ * heaps and, in the randomized stress, the 4 KB frame allocators.
  */
 
 #include <gtest/gtest.h>
 
-#include "flick/heap.hh"
 #include "sim/random.hh"
+#include "vm/pte.hh"
+#include "vm/range_allocator.hh"
 
 namespace flick
 {
@@ -15,7 +17,7 @@ namespace
 
 TEST(RegionHeap, BasicAllocate)
 {
-    RegionHeap h("t", 0x1000, 1 << 20);
+    RangeAllocator h("t", 0x1000, 1 << 20, 16);
     VAddr a = h.allocate(100);
     VAddr b = h.allocate(100);
     EXPECT_NE(a, b);
@@ -28,7 +30,7 @@ TEST(RegionHeap, BasicAllocate)
 
 TEST(RegionHeap, Alignment)
 {
-    RegionHeap h("t", 0x1000, 1 << 20);
+    RangeAllocator h("t", 0x1000, 1 << 20, 16);
     h.allocate(24);
     VAddr a = h.allocate(64, 4096);
     EXPECT_EQ(a % 4096, 0u);
@@ -36,7 +38,7 @@ TEST(RegionHeap, Alignment)
 
 TEST(RegionHeap, FreeAndReuse)
 {
-    RegionHeap h("t", 0, 1 << 16);
+    RangeAllocator h("t", 0, 1 << 16, 16);
     VAddr a = h.allocate(1 << 12);
     VAddr b = h.allocate(1 << 12);
     h.free(a);
@@ -52,29 +54,32 @@ TEST(RegionHeap, FreeAndReuse)
 
 TEST(RegionHeap, ExhaustionIsFatal)
 {
-    RegionHeap h("t", 0, 1024);
+    RangeAllocator h("t", 0, 1024, 16);
     h.allocate(1024);
     EXPECT_DEATH(h.allocate(16), "exhausted");
 }
 
 TEST(RegionHeap, BadFreePanics)
 {
-    RegionHeap h("t", 0, 1024);
+    RangeAllocator h("t", 0, 1024, 16);
     VAddr a = h.allocate(64);
     EXPECT_DEATH(h.free(a + 16), "unallocated");
     h.free(a);
     EXPECT_DEATH(h.free(a), "unallocated");
 }
 
-TEST(RegionHeap, RandomAllocFreeStress)
+/** Random alloc/free churn at one granule: no overlap, no leak. */
+void
+randomAllocFreeStress(std::uint64_t granule)
 {
-    RegionHeap h("t", 0x10000, 1 << 20);
+    RangeAllocator h("t", 0x10000, 1 << 20, granule);
     Rng rng(77);
     std::vector<std::pair<VAddr, std::uint64_t>> live;
     for (int i = 0; i < 2000; ++i) {
         if (live.empty() || rng.below(2)) {
             std::uint64_t size = 16 + rng.below(2000);
-            if (h.allocatedBytes() + size + 2048 > h.capacity()) {
+            std::uint64_t rounded = (size + granule - 1) & ~(granule - 1);
+            if (h.allocatedBytes() + rounded + 2048 > h.capacity()) {
                 // Avoid fatal exhaustion: free instead.
                 if (!live.empty()) {
                     h.free(live.back().first);
@@ -83,12 +88,13 @@ TEST(RegionHeap, RandomAllocFreeStress)
                 continue;
             }
             VAddr a = h.allocate(size);
+            EXPECT_EQ(a % granule, 0u);
             // No overlap with any live block.
             for (auto [addr, sz] : live) {
                 EXPECT_TRUE(a + size <= addr || addr + sz <= a)
                     << "overlap";
             }
-            live.emplace_back(a, (size + 15) & ~15ull);
+            live.emplace_back(a, rounded);
         } else {
             std::size_t idx = rng.below(live.size());
             h.free(live[idx].first);
@@ -98,6 +104,16 @@ TEST(RegionHeap, RandomAllocFreeStress)
     for (auto [addr, sz] : live)
         h.free(addr);
     EXPECT_EQ(h.allocatedBytes(), 0u);
+}
+
+TEST(RegionHeap, RandomAllocFreeStress)
+{
+    randomAllocFreeStress(16);
+}
+
+TEST(PhysAllocator, RandomAllocFreeStress)
+{
+    randomAllocFreeStress(4096);
 }
 
 } // namespace

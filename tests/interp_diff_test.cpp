@@ -239,7 +239,7 @@ INSTANTIATE_TEST_SUITE_P(
 class DiffEnv
 {
   public:
-    DiffEnv() : mem(timing, platform), alloc("t", 0x100000, 16 << 20),
+    DiffEnv() : mem(timing, platform), alloc("t", 0x100000, 16 << 20, 4096),
                 ptm(mem, alloc)
     {
         cr3 = ptm.createRoot();
@@ -288,7 +288,7 @@ class DiffEnv
     TimingConfig timing;
     PlatformConfig platform;
     MemSystem mem;
-    PhysAllocator alloc;
+    RangeAllocator alloc;
     PageTableManager ptm;
     Addr cr3 = 0;
     Addr text_pa = 0;

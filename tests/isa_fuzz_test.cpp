@@ -27,7 +27,7 @@ namespace
 class FuzzEnv
 {
   public:
-    FuzzEnv() : mem(timing, platform), alloc("t", 0x100000, 16 << 20),
+    FuzzEnv() : mem(timing, platform), alloc("t", 0x100000, 16 << 20, 4096),
                 ptm(mem, alloc)
     {
         cr3 = ptm.createRoot();
@@ -47,7 +47,7 @@ class FuzzEnv
     TimingConfig timing;
     PlatformConfig platform;
     MemSystem mem;
-    PhysAllocator alloc;
+    RangeAllocator alloc;
     PageTableManager ptm;
     Addr cr3 = 0;
     Addr text_pa = 0;
@@ -317,7 +317,7 @@ class CoherenceEnv
 {
   public:
     explicit CoherenceEnv(bool writable_text)
-        : mem(timing, platform), alloc("t", 0x100000, 16 << 20),
+        : mem(timing, platform), alloc("t", 0x100000, 16 << 20, 4096),
           ptm(mem, alloc)
     {
         cr3 = ptm.createRoot();
@@ -347,7 +347,7 @@ class CoherenceEnv
     TimingConfig timing;
     PlatformConfig platform;
     MemSystem mem;
-    PhysAllocator alloc;
+    RangeAllocator alloc;
     PageTableManager ptm;
     Addr cr3 = 0;
     Addr text_pa = 0;

@@ -39,7 +39,7 @@ class Hx64Run : public ::testing::Test
     static constexpr VAddr dataVa = 0x600000;
 
     Hx64Run()
-        : mem(timing, platform), alloc("t", 0x100000, 64 << 20),
+        : mem(timing, platform), alloc("t", 0x100000, 64 << 20, 4096),
           ptm(mem, alloc)
     {
         CoreParams p;
@@ -94,7 +94,7 @@ class Hx64Run : public ::testing::Test
     TimingConfig timing;
     PlatformConfig platform;
     MemSystem mem;
-    PhysAllocator alloc;
+    RangeAllocator alloc;
     PageTableManager ptm;
     std::unique_ptr<Hx64Core> core;
     Addr cr3 = 0;
@@ -503,7 +503,7 @@ TEST_P(Hx64AluProperty, RandomOps)
         TimingConfig timing;
         PlatformConfig platform;
         MemSystem mem(timing, platform);
-        PhysAllocator alloc("t", 0x100000, 16 << 20);
+        RangeAllocator alloc("t", 0x100000, 16 << 20, 4096);
         PageTableManager ptm(mem, alloc);
         std::string src = std::string("f: mov rax, rdi\n ") + c.op +
                           " rax, rsi\n ret\n";

@@ -57,7 +57,7 @@ class Rv64Run : public ::testing::Test
     static constexpr VAddr dataVa = 0x600000;
 
     Rv64Run()
-        : mem(timing, platform), alloc("t", 0x100000, 64 << 20),
+        : mem(timing, platform), alloc("t", 0x100000, 64 << 20, 4096),
           ptm(mem, alloc)
     {
         CoreParams p;
@@ -117,7 +117,7 @@ class Rv64Run : public ::testing::Test
     TimingConfig timing;
     PlatformConfig platform;
     MemSystem mem;
-    PhysAllocator alloc;
+    RangeAllocator alloc;
     PageTableManager ptm;
     std::unique_ptr<Rv64Core> core;
     Addr cr3 = 0;
@@ -484,7 +484,7 @@ TEST_P(Rv64LiProperty, LiProducesExactValue)
     TimingConfig timing;
     PlatformConfig platform;
     MemSystem mem(timing, platform);
-    PhysAllocator alloc("t", 0x100000, 16 << 20);
+    RangeAllocator alloc("t", 0x100000, 16 << 20, 4096);
     PageTableManager ptm(mem, alloc);
     Addr cr3 = ptm.createRoot();
     Addr pa = alloc.allocate(4096);

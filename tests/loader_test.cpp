@@ -20,9 +20,9 @@ class LoaderTest : public ::testing::Test
   protected:
     LoaderTest()
         : mem(timing, platform),
-          hostAlloc("host", 0x100000, 256 << 20),
+          hostAlloc("host", 0x100000, 256 << 20, 4096),
           nxpAlloc("nxp", platform.nxpDramLocalBase + (1 << 20),
-                   256 << 20),
+                   256 << 20, 4096),
           ptm(mem, hostAlloc),
           loader(mem, ptm, hostAlloc, nxpAlloc)
     {}
@@ -54,8 +54,8 @@ class LoaderTest : public ::testing::Test
     TimingConfig timing;
     PlatformConfig platform;
     MemSystem mem;
-    PhysAllocator hostAlloc;
-    PhysAllocator nxpAlloc;
+    RangeAllocator hostAlloc;
+    RangeAllocator nxpAlloc;
     PageTableManager ptm;
     ProgramLoader loader;
 };

@@ -307,9 +307,9 @@ TEST(PlacementProfileGuided, KeepsNearDataWorkOnTheDevice)
     // The learned profile is inspectable and reflects the flip-back.
     auto &pg = dynamic_cast<ProfileGuidedPlacement &>(
         *sys->debug().policy());
-    const auto *prof = pg.profile(proc->image.cr3,
+    const auto prof = pg.profile(proc->image.cr3,
                                   proc->image.symbol("mix_near"));
-    ASSERT_NE(prof, nullptr);
+    ASSERT_TRUE(prof);
     EXPECT_GE(prof->deviceSamples, 10u);
     if (st.get("placement.host_steered") > 0) {
         EXPECT_GE(prof->hostSamples, 1u);
@@ -398,16 +398,16 @@ relay_chain:
     auto &pg =
         dynamic_cast<ProfileGuidedPlacement &>(*sys.debug().policy());
     // The relayed callee got a device-side sample of its own...
-    const auto *callee =
+    const auto callee =
         pg.profile(proc.image.cr3, proc.image.symbol("relay_scale"));
-    ASSERT_NE(callee, nullptr);
+    ASSERT_TRUE(callee);
     EXPECT_EQ(callee->deviceSamples, 1u);
     EXPECT_GT(callee->deviceEwma, 0u);
     EXPECT_EQ(callee->hostSamples, 0u);
     // ...and the host-originated outer call fed the model as before.
-    const auto *outer =
+    const auto outer =
         pg.profile(proc.image.cr3, proc.image.symbol("relay_chain"));
-    ASSERT_NE(outer, nullptr);
+    ASSERT_TRUE(outer);
     EXPECT_EQ(outer->deviceSamples, 1u);
     EXPECT_GE(sys.debug().engine().stats().get("placement.model_updates"), 2u);
 }

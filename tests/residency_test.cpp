@@ -12,7 +12,8 @@
  *    (host core vs each NxP core); debug/DMA/walk traffic is excluded.
  *  - ResidencyAwarePlacement steers a call to the device holding its
  *    argument pages even before any access is counted (cold mapped
- *    pages vote by holder).
+ *    pages vote by holder); a non-canonical argument names no page and
+ *    casts no vote.
  *  - migrateNow() moves a 4K frame host<->device with contents intact,
  *    remapping the PTE and updating the translation; a write racing the
  *    copy dirties the source and forces a bounded recopy, never losing
@@ -207,6 +208,31 @@ TEST(Residency, ColdPagesSteerResidencyAwarePlacement)
     const StatGroup &es = sys->debug().engine().stats();
     EXPECT_EQ(es.get("host_to_nxp_calls_dev1"), 1u);
     EXPECT_EQ(es.get("host_to_nxp_calls_dev0"), 0u);
+    delete sys;
+}
+
+TEST(Residency, NonCanonicalArgumentCastsNoVote)
+{
+    auto [sys, proc] =
+        makeSharded(SystemConfig{}
+                        .withResidencyTracking()
+                        .withPlacement(PlacementKind::residencyAware),
+                    2);
+
+    VAddr host_buf = sys->migratableMalloc(*proc, 4096, -1);
+    VAddr dev1_buf = sys->migratableMalloc(*proc, 4096, 1);
+    fillShard(*sys, *proc, host_buf, 5, 64);
+
+    // Bits 63..48 set make the third argument a non-canonical address:
+    // it names no page, so it must not vote for the holder of dev1_buf
+    // and leave host DRAM the majority holder.
+    EXPECT_EQ(sys->call(*proc, "shard_sum",
+                        {host_buf, 64, (1ull << 48) | dev1_buf}),
+              shardSumRef(5, 0, 64));
+
+    const StatGroup &es = sys->debug().engine().stats();
+    EXPECT_EQ(es.get("placement.host_steered"), 1u);
+    EXPECT_EQ(es.get("host_to_nxp_calls_dev1"), 0u);
     delete sys;
 }
 

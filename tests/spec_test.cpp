@@ -204,9 +204,9 @@ TEST(Speculation, HostWinCommitsAndHarvestsTheDoubleSample)
     EXPECT_EQ(st.get("spec.double_samples_dev0"), 1u);
     auto &pg = dynamic_cast<ProfileGuidedPlacement &>(
         *sys->debug().policy());
-    const auto *prof = pg.profile(proc->image.cr3,
+    const auto prof = pg.profile(proc->image.cr3,
                                   proc->image.symbol("shard_sum"));
-    ASSERT_NE(prof, nullptr);
+    ASSERT_TRUE(prof);
     EXPECT_GE(prof->hostSamples, 1u);
     EXPECT_GE(prof->deviceSamples, 1u);
 
@@ -272,9 +272,9 @@ TEST(Speculation, NxpWinSquashesTheHostTwinCleanly)
     // functionally and fed to the model for free.
     auto &pg = dynamic_cast<ProfileGuidedPlacement &>(
         *sys->debug().policy());
-    const auto *prof = pg.profile(proc->image.cr3,
+    const auto prof = pg.profile(proc->image.cr3,
                                   proc->image.symbol("shard_sum"));
-    ASSERT_NE(prof, nullptr);
+    ASSERT_TRUE(prof);
     EXPECT_GE(prof->hostSamples, 1u);
     EXPECT_GE(prof->deviceSamples, 1u);
 

@@ -10,7 +10,7 @@
 #include "sim/random.hh"
 #include "vm/mmu.hh"
 #include "vm/page_table.hh"
-#include "vm/phys_allocator.hh"
+#include "vm/range_allocator.hh"
 
 namespace flick
 {
@@ -61,7 +61,7 @@ TEST(Pte, TableIndex)
 
 TEST(PhysAllocator, AlignedAllocation)
 {
-    PhysAllocator alloc("t", 0x1000, 1 << 20);
+    RangeAllocator alloc("t", 0x1000, 1 << 20, 4096);
     Addr a = alloc.allocate(4096);
     Addr b = alloc.allocate(8192, 8192);
     EXPECT_EQ(a % 4096, 0u);
@@ -71,13 +71,13 @@ TEST(PhysAllocator, AlignedAllocation)
 
 TEST(PhysAllocator, FreeAndCoalesce)
 {
-    PhysAllocator alloc("t", 0, 1 << 20);
+    RangeAllocator alloc("t", 0, 1 << 20, 4096);
     Addr a = alloc.allocate(4096);
     Addr b = alloc.allocate(4096);
     Addr c = alloc.allocate(4096);
-    alloc.free(a, 4096);
-    alloc.free(c, 4096);
-    alloc.free(b, 4096); // merges the middle
+    alloc.free(a);
+    alloc.free(c);
+    alloc.free(b); // merges the middle
     EXPECT_EQ(alloc.allocatedBytes(), 0u);
     // After full coalescing the whole region is allocatable again.
     Addr big = alloc.allocate(1 << 20);
@@ -86,15 +86,15 @@ TEST(PhysAllocator, FreeAndCoalesce)
 
 TEST(PhysAllocator, DoubleFreePanics)
 {
-    PhysAllocator alloc("t", 0, 1 << 20);
+    RangeAllocator alloc("t", 0, 1 << 20, 4096);
     Addr a = alloc.allocate(4096);
-    alloc.free(a, 4096);
-    EXPECT_DEATH(alloc.free(a, 4096), "double free");
+    alloc.free(a);
+    EXPECT_DEATH(alloc.free(a), "double free");
 }
 
 TEST(PhysAllocator, ExhaustionIsFatal)
 {
-    PhysAllocator alloc("t", 0, 8192);
+    RangeAllocator alloc("t", 0, 8192, 4096);
     alloc.allocate(8192);
     EXPECT_DEATH(alloc.allocate(4096), "exhausted");
 }
@@ -105,7 +105,7 @@ class PageTableTest : public ::testing::Test
     TimingConfig timing;
     PlatformConfig platform;
     MemSystem mem{timing, platform};
-    PhysAllocator alloc{"pt", 0x100000, 64 << 20};
+    RangeAllocator alloc{"pt", 0x100000, 64 << 20, 4096};
     PageTableManager ptm{mem, alloc};
 };
 
@@ -321,7 +321,7 @@ class MmuTest : public ::testing::Test
     TimingConfig timing;
     PlatformConfig platform;
     MemSystem mem{timing, platform};
-    PhysAllocator alloc{"pt", 0x100000, 64 << 20};
+    RangeAllocator alloc{"pt", 0x100000, 64 << 20, 4096};
     PageTableManager ptm{mem, alloc};
     Addr cr3 = 0;
 };
